@@ -28,17 +28,20 @@ from .graph import (
     to_dot,
 )
 from .lollipop import (
+    SEEDS,
     ActiveClosure,
-    Improvement,
     WitnessPath,
-    active_closure,
     chords_of_cycle,
     find_dense_cycle,
+    improve_until_closed,
     initial_lollipop,
     verify_closure_lemmas,
 )
 
 SCHEMA = "1"
+# Artifacts that carry a rotation closure; schema "1" stored every witness's
+# full sequence, schema "2" stores only its seed orientation and derivation.
+CLOSURE_SCHEMA = "2"
 
 _TARGET_DEFAULT_K = {"K3": None, "K4": 3, "K5": 8, "K6": 8}
 
@@ -117,8 +120,7 @@ def _closure_json(closure: ActiveClosure) -> dict:
     witnesses = {}
     for v, wp in sorted(closure.witnesses.items()):
         witnesses[str(v)] = {
-            "sequence": list(wp.sequence),
-            "seed": list(wp.seed),
+            "seed": wp.seed_orientation(closure.cycle),
             "derivation": [[[c[0], c[1]], w] for c, w in wp.derivation],
         }
     return {
@@ -129,23 +131,68 @@ def _closure_json(closure: ActiveClosure) -> dict:
     }
 
 
-def _closure_from_json(obj) -> ActiveClosure:
+def _ints(obj, what: str, length: int | None = None) -> tuple:
+    """A JSON list of integers as a tuple, or ValidationError."""
+    if not isinstance(obj, list) or (length is not None and len(obj) != length):
+        size = "a list" if length is None else f"a list of {length}"
+        raise ValidationError(f"{what} must be {size} integers")
+    for x in obj:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValidationError(f"{what} holds a non-integer {x!r}")
+    return tuple(obj)
+
+
+def _derivation_from_json(obj, what: str) -> tuple:
+    if not isinstance(obj, list):
+        raise ValidationError(f"{what} derivation must be a list")
+    steps = []
+    for step in obj:
+        if not isinstance(step, list) or len(step) != 2:
+            raise ValidationError(f"{what} derivation steps must be [[u, v], w]")
+        chord = _ints(step[0], f"{what} derivation chord", 2)
+        (w,) = _ints(step[1:], f"{what} derivation step")
+        steps.append((chord, w))
+    return tuple(steps)
+
+
+def _closure_from_json(obj, schema: str) -> ActiveClosure:
+    """Rebuild a closure from either schema; malformed input raises
+    ValidationError.  The audit then checks what the closure claims."""
+    if schema not in (SCHEMA, CLOSURE_SCHEMA):
+        raise ValidationError(f"unknown closure schema {schema!r}")
+    if not isinstance(obj, dict):
+        raise ValidationError("closure must be an object")
+    cycle = _ints(obj.get("cycle"), "closure cycle")
+    active = _ints(obj.get("active"), "closure active set")
+    edges = obj.get("passive_edges")
+    if not isinstance(edges, list):
+        raise ValidationError("closure passive_edges must be a list")
+    passive = frozenset(_ints(e, "passive edge", 2) for e in edges)
+    raw = obj.get("witnesses")
+    if not isinstance(raw, dict):
+        raise ValidationError("closure needs a 'witnesses' object")
     witnesses = {}
-    for key, w in obj["witnesses"].items():
-        witnesses[int(key)] = WitnessPath(
-            sequence=tuple(w["sequence"]),
-            derivation=tuple(
-                ((c[0], c[1]), step) for c, step in w["derivation"]
-            ),
-            seed=tuple(w["seed"]),
-        )
+    for key, w in raw.items():
+        vertex = int(key) if key.isascii() and key.lstrip("-").isdigit() else None
+        if vertex is None or str(vertex) != key or not isinstance(w, dict):
+            raise ValidationError(f"bad witness entry {key!r}")
+        what = f"witness {key}"
+        derivation = _derivation_from_json(w.get("derivation"), what)
+        if schema == SCHEMA:
+            witnesses[vertex] = WitnessPath(
+                sequence=_ints(w.get("sequence"), f"{what} sequence"),
+                derivation=derivation,
+                seed=_ints(w.get("seed"), f"{what} seed"),
+            )
+        else:
+            if w.get("seed") not in SEEDS:
+                raise ValidationError(f"{what} has unknown seed {w.get('seed')!r}")
+            witnesses[vertex] = WitnessPath(derivation=derivation, seed=w["seed"], cycle=cycle)
     return ActiveClosure(
-        cycle=tuple(obj["cycle"]),
-        active=frozenset(obj["active"]),
+        cycle=cycle,
+        active=frozenset(active),
         witnesses=witnesses,
-        passive_edges=frozenset(
-            (u, v) for u, v in (tuple(e) for e in obj["passive_edges"])
-        ),
+        passive_edges=passive,
     )
 
 
@@ -224,7 +271,7 @@ def _cmd_analyze(args) -> int:
 
 def _dense_cycle_json(g: Graph, cert) -> dict:
     return {
-        "schema": SCHEMA,
+        "schema": CLOSURE_SCHEMA,
         "kind": "dense_cycle",
         "k": cert.k,
         "graph": _graph_json(g),
@@ -320,6 +367,14 @@ def _target_graph(name: str, ell: int | None) -> tuple[Graph, tuple[int, ...]]:
     return generate("complete", {"n": n}), tuple(range(n))
 
 
+def _named_target(name, n: int) -> Graph:
+    """The canonical graph an artifact's target name stands for; K'll takes
+    its side length from the target's order n."""
+    if not isinstance(name, str):
+        raise ValidationError(f"bad target {name!r}")
+    return _target_graph(*_parse_target(f"Kll:{n // 2}" if name == "K'll" else name))[0]
+
+
 def _constructive_model(g: Graph, name: str, ell: int | None, k: int | None):
     """Build the target model, routing through the contraction pipeline.
 
@@ -409,15 +464,10 @@ def _cmd_active_paths(args) -> int:
         else:
             _emit(args, f"{total} paths, {active} active")
         return 0
-    outcome = active_closure(g, lollipop, args.k)
-    for _ in range(g.n * g.n):
-        if not isinstance(outcome, Improvement):
-            break
-        outcome = active_closure(g, outcome.lollipop, args.k)
-    closure = outcome
+    closure, _ = improve_until_closed(g, lollipop, args.k)
     if args.format == "json":
         payload = {
-            "schema": SCHEMA,
+            "schema": CLOSURE_SCHEMA,
             "kind": "active_paths",
             "full": False,
             "k": args.k,
@@ -442,21 +492,24 @@ def _recertify(args, obj) -> int:
         return 0
     if kind == "dense_cycle":
         g = _graph_from_json(obj["graph"])
-        k = obj["k"]
-        cycle = tuple(obj["cycle"])
-        closure = _closure_from_json(obj["closure"])
+        (k,) = _ints([obj.get("k")], "k")
+        cycle = _ints(obj.get("cycle"), "cycle")
+        closure = _closure_from_json(obj.get("closure"), obj.get("schema"))
         if closure.cycle != cycle:
             raise ValidationError("certificate cycle differs from closure cycle")
         verify_closure_lemmas(g, closure)
         chords = chords_of_cycle(g, cycle)
-        if [[u, v] for u, v in chords] != obj["chords"]:
+        if [[u, v] for u, v in chords] != obj.get("chords"):
             raise ValidationError("chord list does not match the graph")
         members = set(cycle)
-        for v in obj["high_degree"]:
+        high = set(_ints(obj.get("high_degree"), "high_degree"))
+        for v in sorted(high):
+            if not 0 <= v < g.n:
+                raise ValidationError(f"high-degree vertex {v} outside 0..{g.n - 1}")
             d = sum(1 for w in g.adj[v] if w in members)
             if d < k:
                 raise ValidationError(f"vertex {v} has cycle degree {d} < {k}")
-        if len(obj["high_degree"]) < k + 1:
+        if len(high) < k + 1:
             raise ValidationError("too few high-degree vertices")
         if 2 * len(chords) < (k + 1) * (k - 2):
             raise ValidationError("too few chords")
@@ -464,6 +517,8 @@ def _recertify(args, obj) -> int:
         return 0
     if kind == "cyclic_minor":
         model = _model_from_json(obj)
+        if model.target != _named_target(model.target_name, model.target.n):
+            raise ValidationError(f"target graph is not {model.target_name!r}")
         if not minors.verify_model(model):
             _emit(args, "model does not verify")
             return 2
@@ -493,7 +548,7 @@ def _recertify(args, obj) -> int:
             if total != obj["paths"] or len(enum.paths) != obj["active"]:
                 raise ValidationError("census does not reproduce")
         else:
-            closure = _closure_from_json(obj["closure"])
+            closure = _closure_from_json(obj.get("closure"), obj.get("schema"))
             verify_closure_lemmas(g, closure)
         _emit(args, "active path census ok")
         return 0
@@ -681,7 +736,7 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except ClosureShortfall as exc:
         payload = {
-            "schema": SCHEMA,
+            "schema": CLOSURE_SCHEMA,
             "kind": "closure_shortfall",
             "message": str(exc),
             "closure": _closure_json(exc.closure),

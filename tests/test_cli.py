@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chordcycles import cli
+from chordcycles import cli, find_dense_cycle, generate
 from chordcycles.errors import ClosureShortfall
 from chordcycles.lollipop import ActiveClosure, WitnessPath
 
@@ -22,7 +22,7 @@ class TestExamples:
         )
         assert code == 0
         obj = json.loads(out)
-        assert obj["schema"] == "1"
+        assert obj["schema"] == "2"
         assert obj["kind"] == "dense_cycle"
         assert len(obj["chords"]) == 9
         assert len(obj["high_degree"]) == 6
@@ -82,7 +82,7 @@ class TestExitCodes:
         obj = json.loads(out)
         assert obj["kind"] == "closure_shortfall"
         assert obj["closure"]["cycle"] == [0, 1, 2]
-        assert obj["closure"]["witnesses"]["1"]["sequence"] == [0, 2, 1]
+        assert obj["closure"]["witnesses"]["1"] == {"seed": "backward", "derivation": []}
 
     def test_guard_env_plumbed(self, capsys, monkeypatch):
         monkeypatch.setenv("LOLLIPOP_GUARD_N", "4")
@@ -182,6 +182,94 @@ class TestRoundTrip:
         path.write_text(json.dumps(obj))
         code, _, err = run(capsys, "certify", "--input", str(path))
         assert code == 1
+
+    def rejected(self, capsys, path, obj, fragment):
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "certify", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert fragment in err
+
+    def test_schema_1_artifact_still_certifies(self, tmp_path, capsys):
+        # Schema "1" stored each witness's full sequence and its seed path.
+        g = generate("petersen")
+        cert = find_dense_cycle(g, 3)
+        obj = cli._dense_cycle_json(g, cert)
+        obj["schema"] = "1"
+        obj["closure"]["witnesses"] = {
+            str(v): {
+                "sequence": list(wp.sequence),
+                "seed": list(wp.seed),
+                "derivation": [[[c[0], c[1]], w] for c, w in wp.derivation],
+            }
+            for v, wp in sorted(cert.closure.witnesses.items())
+        }
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "certify", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith("dense cycle certificate ok")
+        sequence = next(iter(obj["closure"]["witnesses"].values()))["sequence"]
+        sequence[1], sequence[2] = sequence[2], sequence[1]
+        self.rejected(capsys, path, obj, "does not replay")
+
+    @pytest.mark.parametrize("name, derivation, fragment", [
+        pytest.param(name, derivation, fragment, id=name)
+        for name, derivation, fragment in (
+            ("non-cycle edge", [[[5, 1], 2], [[2, 1], 5]], "breaks non-cycle edge"),
+            ("not a chord", [[[5, 4], 3]], "not a chord"),
+            ("wrong final end", [[[5, 1], 2]], "ends at"),
+            ("unknown seed", [], "unknown seed 'sideways'"),
+        )
+    ])
+    def test_tampered_derivation_rejected(self, tmp_path, capsys, name, derivation, fragment):
+        path = self.emit(
+            tmp_path, "dense.json",
+            ["dense-cycle", "--family", "complete", "--params", "n=6", "--k", "5"],
+        )
+        obj = json.loads(path.read_text())
+        c = obj["closure"]["cycle"]
+        # the forward seed ends at c[5]; steps name cycle positions
+        obj["closure"]["witnesses"][str(c[5])] = {
+            "seed": "sideways" if name == "unknown seed" else "forward",
+            "derivation": [[[c[u], c[v]], c[w]] for (u, v), w in derivation],
+        }
+        self.rejected(capsys, path, obj, fragment)
+
+    @pytest.mark.parametrize("name, fragment", [
+        pytest.param(name, fragment, id=name)
+        for name, fragment in (
+            ("no witnesses", "'witnesses'"),
+            ("derivation not a list", "derivation must be a list"),
+            ("non-integer vertex", "non-integer"),
+            ("repeated high-degree vertex", "too few high-degree vertices"),
+            ("high-degree vertex out of range", "outside 0..9"),
+        )
+    ])
+    def test_malformed_dense_cycle_rejected(self, tmp_path, capsys, name, fragment):
+        path = self.emit(tmp_path, "dense.json",
+                         ["dense-cycle", "--family", "petersen", "--k", "3"])
+        obj = json.loads(path.read_text())
+        closure = obj["closure"]
+        if name == "no witnesses":
+            del closure["witnesses"]
+        elif name == "derivation not a list":
+            next(iter(closure["witnesses"].values()))["derivation"] = 7
+        elif name == "non-integer vertex":
+            closure["cycle"][0] = str(closure["cycle"][0])
+        elif name == "repeated high-degree vertex":
+            obj["high_degree"] = [obj["high_degree"][0]] * 4
+        else:
+            obj["high_degree"] = obj["high_degree"][1:] + [-1]
+        self.rejected(capsys, path, obj, fragment)
+
+    def test_minor_target_bound_to_its_graph(self, tmp_path, capsys):
+        path = self.emit(tmp_path, "k3.json", [
+            "clique-minor", "--family", "complete", "--params", "n=5", "--target", "K3",
+        ])
+        obj = json.loads(path.read_text())
+        obj["target"] = "K6"
+        self.rejected(capsys, path, obj, "target graph is not 'K6'")
 
     def test_oracle_witness_flagged_and_recertifies(self, tmp_path, capsys):
         path = tmp_path / "w.json"

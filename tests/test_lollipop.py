@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from chordcycles import (
     Graph,
+    InternalInvariantError,
     PreconditionError,
     RuleNotApplicable,
     ValidationError,
@@ -16,6 +17,8 @@ from chordcycles import (
     verify_closure_lemmas,
 )
 from chordcycles.lollipop import (
+    SEEDS,
+    ActiveClosure,
     Improvement,
     WitnessPath,
     active_closure,
@@ -24,6 +27,7 @@ from chordcycles.lollipop import (
     lollipop_from_path,
     maximal_path_extend,
     required_active_count,
+    seed_path,
     validate_lollipop,
     vertex_set,
 )
@@ -101,6 +105,44 @@ class TestReplay:
             replay(q.seed, bad)
 
 
+@st.composite
+def derivations(draw):
+    """A cycle, a seed orientation and random rotation steps from it (the
+    broken edges need not lie on the cycle: replay does not ask)."""
+    t = draw(st.integers(3, 9))
+    cycle = tuple(draw(st.permutations(range(t))))
+    orientation = draw(st.sampled_from(SEEDS))
+    seq = seed_path(cycle, orientation)
+    steps = []
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, t - 3))
+        steps.append(((seq[-1], seq[i]), seq[i + 1]))
+        seq = seq[: i + 1] + seq[:i:-1]
+    return cycle, orientation, tuple(steps)
+
+
+class TestImplicitWitness:
+    @settings(max_examples=300, deadline=None)
+    @given(derivations())
+    def test_reflections_agree_with_replay(self, case):
+        cycle, orientation, derivation = case
+        expected = replay(seed_path(cycle, orientation), derivation)
+        wp = WitnessPath(derivation=derivation, seed=orientation, cycle=cycle)
+        assert [wp.at(p) for p in range(len(cycle))] == list(expected)
+        assert [wp.position(x) for x in expected] == list(range(len(cycle)))
+        assert wp.end == expected[-1]
+        assert wp.sequence == expected
+
+    def test_unknown_seed_rejected(self):
+        with pytest.raises(ValidationError):
+            WitnessPath(derivation=(), seed="sideways", cycle=(0, 1, 2))
+
+    def test_misfit_step_rejected_on_use(self):
+        wp = WitnessPath(derivation=(((4, 1), 3),), seed="forward", cycle=(0, 1, 2, 3, 4))
+        with pytest.raises(ValidationError):
+            wp.sequence
+
+
 class TestLollipopConstruction:
     def test_maximal_path_cannot_extend(self):
         g = petersen()
@@ -143,6 +185,8 @@ class TestActiveClosure:
         for v, wp in outcome.witnesses.items():
             assert wp.sequence[-1] == v
             assert replay(wp.seed, wp.derivation) == wp.sequence
+            assert [wp.at(p) for p in range(6)] == list(wp.sequence)
+            assert [wp.position(x) for x in wp.sequence] == list(range(6))
 
     def test_closure_witnesses_inside_full_enumeration(self):
         for g in (complete(6), prism(), cyc(7)):
@@ -206,6 +250,24 @@ class TestClosureLemmas:
             cert = find_dense_cycle(g, k)
             verify_closure_lemmas(g, cert.closure)
 
+    def test_audit_rejects_step_through_inactive_end(self):
+        # The witness for 3 is a genuine spanning path, but its first step
+        # makes the inactive 2 an end.  Every new end must be active: that is
+        # what keeps each broken cycle edge from being a passive one.
+        cycle = (0, 1, 2, 3, 4)
+        witnesses = {
+            4: WitnessPath(derivation=(), seed="forward", cycle=cycle),
+            1: WitnessPath(derivation=(), seed="backward", cycle=cycle),
+            3: WitnessPath(derivation=(((4, 1), 2), ((2, 4), 3)), seed="forward", cycle=cycle),
+        }
+        assert witnesses[3].sequence == (0, 1, 4, 2, 3)
+        closure = ActiveClosure(
+            cycle=cycle, active=frozenset(witnesses), witnesses=witnesses,
+            passive_edges=frozenset(),
+        )
+        with pytest.raises(InternalInvariantError, match="inactive end 2"):
+            verify_closure_lemmas(complete(5), closure)
+
     def test_audit_rejects_tampered_witness(self):
         cert = find_dense_cycle(petersen(), 3)
         closure = cert.closure
@@ -216,8 +278,6 @@ class TestClosureLemmas:
             derivation=wp.derivation,
             seed=wp.seed,
         )
-        from chordcycles.lollipop import ActiveClosure
-
         tampered = ActiveClosure(
             cycle=closure.cycle,
             active=closure.active,
