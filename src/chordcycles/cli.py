@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import minors, oracle
 from .contraction import pipeline
@@ -64,7 +65,12 @@ def _graph_json(g: Graph) -> dict:
 def _graph_from_json(obj) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValidationError("graph object needs 'n' and 'edges'")
-    return Graph(obj["n"], [tuple(e) for e in obj["edges"]])
+    (n,) = _ints([obj["n"]], "graph n")
+    edges = obj["edges"]
+    if not isinstance(edges, list) or set(map(type, edges)) - {list} or set(map(len, edges)) - {2}:
+        raise ValidationError("graph edges must be a list of [u, v] pairs")
+    _ints(list(chain.from_iterable(edges)), "graph edge")
+    return Graph(n, edges)
 
 
 def _parse_params(raw: list[str] | None) -> dict:
@@ -86,17 +92,29 @@ def _parse_params(raw: list[str] | None) -> dict:
     return params
 
 
+def _read_input(path: str):
+    """An --input file: a JSON object when it starts with '{', else an edge
+    list parsed into a Graph.  Undecodable input raises ValidationError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.lstrip().startswith(b"{"):
+        try:
+            return json.loads(data)
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"malformed JSON input: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"input is not UTF-8 text: {exc}") from None
+    return parse_edge_list(text)
+
+
 def _load_graph(args) -> Graph:
     if getattr(args, "input", None):
-        with open(args.input, "rb") as fh:
-            data = fh.read()
-        stripped = data.lstrip()
-        if stripped.startswith(b"{"):
-            obj = json.loads(data)
-            if isinstance(obj, dict) and "graph" in obj:
-                return _graph_from_json(obj["graph"])
-            return _graph_from_json(obj)
-        return parse_edge_list(data)
+        obj = _read_input(args.input)
+        if isinstance(obj, Graph):
+            return obj
+        return _graph_from_json(obj["graph"] if "graph" in obj else obj)
     if getattr(args, "family", None):
         return generate(args.family, _parse_params(args.params), seed=args.seed)
     raise ValidationError("need --input or --family")
@@ -137,7 +155,7 @@ def _ints(obj, what: str, length: int | None = None) -> tuple:
         size = "a list" if length is None else f"a list of {length}"
         raise ValidationError(f"{what} must be {size} integers")
     for x in obj:
-        if not isinstance(x, int) or isinstance(x, bool):
+        if type(x) is not int:
             raise ValidationError(f"{what} holds a non-integer {x!r}")
     return tuple(obj)
 
@@ -211,14 +229,28 @@ def _model_json(model: minors.CyclicMinorModel, origin: str) -> dict:
     }
 
 
+def _vertices(obj, what: str, g: Graph) -> tuple:
+    """A JSON list of vertices of g, or ValidationError."""
+    out = _ints(obj, what)
+    for v in out:
+        if not 0 <= v < g.n:
+            raise ValidationError(f"{what} vertex {v} outside 0..{g.n - 1}")
+    return out
+
+
 def _model_from_json(obj) -> minors.CyclicMinorModel:
+    host = _graph_from_json(obj.get("graph"))
+    target = _graph_from_json(obj.get("target_graph"))
+    arcs = obj.get("arcs")
+    if not isinstance(arcs, list):
+        raise ValidationError("arcs must be a list")
     return minors.CyclicMinorModel(
-        host=_graph_from_json(obj["graph"]),
-        host_cycle=tuple(obj["host_cycle"]),
-        arcs=tuple(tuple(arc) for arc in obj["arcs"]),
-        target=_graph_from_json(obj["target_graph"]),
-        target_cycle=tuple(obj["target_cycle"]),
-        target_name=obj["target"],
+        host=host,
+        host_cycle=_vertices(obj.get("host_cycle"), "host cycle", host),
+        arcs=tuple(_ints(arc, "arc") for arc in arcs),
+        target=target,
+        target_cycle=_vertices(obj.get("target_cycle"), "target cycle", target),
+        target_name=obj.get("target"),
     )
 
 
@@ -487,11 +519,11 @@ def _cmd_active_paths(args) -> int:
 def _recertify(args, obj) -> int:
     kind = obj.get("kind")
     if kind == "graph":
-        _graph_from_json(obj["graph"])
+        _graph_from_json(obj.get("graph"))
         _emit(args, "graph ok")
         return 0
     if kind == "dense_cycle":
-        g = _graph_from_json(obj["graph"])
+        g = _graph_from_json(obj.get("graph"))
         (k,) = _ints([obj.get("k")], "k")
         cycle = _ints(obj.get("cycle"), "cycle")
         closure = _closure_from_json(obj.get("closure"), obj.get("schema"))
@@ -525,19 +557,24 @@ def _recertify(args, obj) -> int:
         _emit(args, f"cyclic {obj['target']} minor ok")
         return 0
     if kind == "contraction":
-        g = _graph_from_json(obj["graph"])
-        k = obj["k"]
+        g = _graph_from_json(obj.get("graph"))
+        (k,) = _ints([obj.get("k")], "k")
+        stages = obj.get("stages")
+        if not isinstance(stages, list) or len(stages) != 3 or not all(
+            isinstance(stage, dict) for stage in stages
+        ):
+            raise ValidationError("contraction needs a list of three stage objects")
         cert = find_dense_cycle(g, k)
         r0, r1, r2 = pipeline(g, cert)
-        for want, got in zip(obj["stages"], (r0, r1, r2)):
-            if _graph_from_json(want["graph"]) != got.quotient:
+        for want, got in zip(stages, (r0, r1, r2)):
+            if _graph_from_json(want.get("graph")) != got.quotient:
                 raise ValidationError("contraction stages do not reproduce")
         _emit(args, f"contraction certificate ok: k={k}")
         return 0
     if kind == "active_paths":
-        g = _graph_from_json(obj["graph"])
+        g = _graph_from_json(obj.get("graph"))
         if obj.get("full"):
-            cycle = tuple(obj["cycle"])
+            cycle = _vertices(obj.get("cycle"), "cycle", g)
             enum = oracle.full_active_enumeration(g, cycle, **(
                 {"guard_t": _guard_kwargs()["guard_n"]} if _guard_kwargs() else {}
             ))
@@ -545,7 +582,7 @@ def _recertify(args, obj) -> int:
             total = len(oracle.hamiltonian_paths_from(
                 sub, old_ids.index(cycle[0]), **_guard_kwargs()
             ))
-            if total != obj["paths"] or len(enum.paths) != obj["active"]:
+            if total != obj.get("paths") or len(enum.paths) != obj.get("active"):
                 raise ValidationError("census does not reproduce")
         else:
             closure = _closure_from_json(obj.get("closure"), obj.get("schema"))
@@ -557,11 +594,9 @@ def _recertify(args, obj) -> int:
 
 def _cmd_certify(args) -> int:
     if args.input:
-        with open(args.input, "rb") as fh:
-            data = fh.read()
-        if data.lstrip().startswith(b"{"):
-            return _recertify(args, json.loads(data))
-        g = parse_edge_list(data)
+        g = _read_input(args.input)
+        if not isinstance(g, Graph):
+            return _recertify(args, g)
     else:
         g = _load_graph(args)
     if not args.target:

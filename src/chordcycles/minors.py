@@ -255,42 +255,56 @@ def k4_model(f: Graph, c: tuple[int, ...]) -> CyclicMinorModel:
     return model
 
 
-def _block_vertices(c: tuple[int, ...], iv: tuple[int, int]) -> tuple[int, ...]:
-    start, length = iv
-    n = len(c)
-    return tuple(c[(start + k) % n] for k in range(length))
-
-
-def _blocks_quotient(host: Graph, c: tuple[int, ...], ivs) -> Graph:
-    """Simple graph on block indices induced by host edges between blocks."""
-    owner = {}
-    for i, iv in enumerate(ivs):
-        for v in _block_vertices(c, iv):
-            owner[v] = i
-    edges = set()
-    for u, v in host.edges():
-        if owner[u] != owner[v]:
-            edges.add(edge(owner[u], owner[v]))
-    return Graph(len(ivs), sorted(edges))
-
-
-def _contract_once(host: Graph, c: tuple[int, ...], ivs):
-    """Merge the first adjacent block pair keeping density >= 3 per vertex.
+def _density_fixpoint(f: Graph, c: tuple[int, ...]):
+    """Contract cycle edges first-fit while |E| >= 3|V| survives the merge.
 
     Blocks are (start, length) intervals of host cycle positions, listed in
-    cyclic order; merging keeps each block a contiguous arc.
+    cyclic order from the block holding position 0; merging keeps each block
+    a contiguous arc.  A block is keyed by its start, and the block quotient
+    is kept live as adjacency sets over those keys: merging j into its
+    predecessor i removes the edge ij and one of each pair of parallel edges
+    through a common neighbour.  Every pass rescans from the first block and
+    merges the first pair that keeps the density, so the merge order is the
+    one a rebuild of the quotient after every merge would give.
+
+    Returns the intervals and the quotient with blocks relabelled 0..t-1.
     """
-    t = len(ivs)
-    q = _blocks_quotient(host, c, ivs)
-    for i in range(t):
-        j = (i + 1) % t
-        common = len(q.adj[i] & q.adj[j])
-        if q.edge_count - 1 - common >= 3 * (t - 1):
-            merged = (ivs[i][0], ivs[i][1] + ivs[j][1])
-            if j == 0:
-                return [merged] + ivs[1 : t - 1]
-            return ivs[:i] + [merged] + ivs[j + 1 :]
-    return None
+    n = len(c)
+    pos = {v: i for i, v in enumerate(c)}
+    nbr = {i: {pos[w] for w in f.adj[v]} for i, v in enumerate(c)}
+    nxt = {i: (i + 1) % n for i in range(n)}
+    length = dict.fromkeys(range(n), 1)
+    head, t, e = 0, n, f.edge_count
+    while True:
+        slack = e - 1 - 3 * (t - 1)
+        i = head
+        for _ in range(t):
+            j = nxt[i]
+            common = len(nbr[i] & nbr[j])
+            if common <= slack:
+                break
+            i = j
+        else:
+            break
+        e -= 1 + common
+        nj = nbr.pop(j)
+        nj.discard(i)
+        nbr[i].discard(j)
+        for w in nj:
+            nbr[w].discard(j)
+            nbr[w].add(i)
+        nbr[i] |= nj
+        length[i] += length.pop(j)
+        nxt[i] = nxt.pop(j)
+        if j == head:
+            head = i
+        t -= 1
+    order = [head]
+    while len(order) < t:
+        order.append(nxt[order[-1]])
+    label = {b: p for p, b in enumerate(order)}
+    q = Graph(t, [(label[b], label[w]) for b in order for w in nbr[b] if b < w])
+    return [(b, length[b]) for b in order], q
 
 
 def _peaks(q: Graph, t: int, p: int) -> list[int]:
@@ -325,14 +339,8 @@ def k5_model(f: Graph, c: tuple[int, ...]) -> CyclicMinorModel:
     if len(c) != f.n:
         raise ValidationError("cycle is not Hamiltonian")
 
-    ivs = [(i, 1) for i in range(len(c))]
-    while True:
-        nxt = _contract_once(f, c, ivs)
-        if nxt is None:
-            break
-        ivs = nxt
+    ivs, q = _density_fixpoint(f, c)
     t = len(ivs)
-    q = _blocks_quotient(f, c, ivs)
     for p in range(t):
         if len(q.adj[p] & q.adj[(p + 1) % t]) < 3:
             raise InternalInvariantError(
@@ -442,24 +450,31 @@ def _col_greedy(rows_cols, cuts, a, m):
     return tuple(out)
 
 
-def grid_block_partition(matrix: list[list[int]], a: int) -> GridOutcome:
+class _Rows(tuple):
+    """A square 0/1 matrix as the sorted column list of each row."""
+
+
+def grid_block_partition(matrix: list[list[int]] | _Rows, a: int) -> GridOutcome:
     """Cut the matrix into an a-by-a grid with a 1 in every block.
 
-    Exact for small instances (m <= 60 or a <= 4): lexicographic search
-    over row cuts, with greedy column cuts per row choice; the greedy is
-    optimal given the rows, so an exhausted search proves non-existence.
-    Larger instances get a sweep heuristic whose NotFound is inconclusive.
+    The matrix is a square list of 0/1 rows, or the sorted column lists of
+    its rows as `_cycle_rows` builds them.  Exact for small instances
+    (m <= 60 or a <= 4): lexicographic search over row cuts, with greedy
+    column cuts per row choice; the greedy is optimal given the rows, so an
+    exhausted search proves non-existence.  Larger instances get a sweep
+    heuristic whose NotFound is inconclusive.
     """
-    m = len(matrix)
-    if m == 0 or any(len(row) != m for row in matrix):
-        raise ValidationError("matrix is not square")
+    if isinstance(matrix, _Rows):
+        rows_cols = matrix
+    else:
+        if len(matrix) == 0 or any(len(row) != len(matrix) for row in matrix):
+            raise ValidationError("matrix is not square")
+        rows_cols = [[j for j, x in enumerate(row) if x] for row in matrix]
+    m = len(rows_cols)
     if not isinstance(a, int) or a < 1:
         raise ValidationError("block grid size must be a positive integer")
     if a > m:
         raise ValidationError(f"cannot cut {m} rows into {a} blocks")
-    rows_cols = [
-        [j for j, x in enumerate(row) if x] for row in matrix
-    ]
     exact = m <= 60 or a <= 4
 
     if exact:
@@ -518,15 +533,10 @@ def _grid_sweep(rows_cols, a, m) -> GridPartition | None:
     return GridPartition(tuple(cuts), cols)
 
 
-def _cycle_matrix(host: Graph, cycle: tuple[int, ...]) -> list[list[int]]:
-    """Full adjacency matrix in cycle order, cycle edges included."""
-    n = len(cycle)
-    mat = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and host.has_edge(cycle[i], cycle[j]):
-                mat[i][j] = 1
-    return mat
+def _cycle_rows(host: Graph, cycle: tuple[int, ...]) -> _Rows:
+    """The adjacency matrix in cycle order, cycle edges included, as rows."""
+    pos = _cycle_positions(cycle)
+    return _Rows(sorted(pos[w] for w in host.adj[v]) for v in cycle)
 
 
 def _bipartite_layout(host, cycle, ell):
@@ -535,7 +545,7 @@ def _bipartite_layout(host, cycle, ell):
     Y1 swallows the slack between the middle row cut and the middle column
     cut; the cut pair is normalized so the slack is non-negative.
     """
-    outcome = grid_block_partition(_cycle_matrix(host, cycle), 2 * ell)
+    outcome = grid_block_partition(_cycle_rows(host, cycle), 2 * ell)
     if outcome.partition is None:
         return None
     rows = list(outcome.partition.row_cuts)

@@ -284,6 +284,36 @@ class TestRoundTrip:
         assert code == 0
 
 
+class TestMalformedInput:
+    """Undecodable or incomplete input gets one `error:` line and exit 1."""
+
+    @pytest.mark.parametrize("command, data, fragment", [
+        pytest.param(command, data, fragment, id=name)
+        for name, command, data, fragment in (
+            ("malformed JSON", "certify", b"{bad", "malformed JSON input"),
+            ("minor without graph", "certify",
+             b'{"schema":"1","kind":"cyclic_minor"}', "needs 'n' and 'edges'"),
+            ("contraction without graph", "certify",
+             b'{"schema":"1","kind":"contraction"}', "needs 'n' and 'edges'"),
+            ("string vertex count", "certify",
+             b'{"kind":"dense_cycle","graph":{"n":"3","edges":[]}}', "non-integer '3'"),
+            ("non-UTF-8 edge list", "analyze", b"0 1\n\xff\xfe 2\n", "not UTF-8"),
+            ("minor cycle vertex out of range", "certify",
+             b'{"kind":"cyclic_minor","graph":{"n":3,"edges":[[0,1],[1,2],[0,2]]},'
+             b'"host_cycle":[7,0,1,2],"arcs":[[7,0],[1],[2]],"target":"K3",'
+             b'"target_graph":{"n":3,"edges":[[0,1],[1,2],[0,2]]},"target_cycle":[0,1,2]}',
+             "outside 0..2"),
+        )
+    ])
+    def test_one_line_error(self, tmp_path, capsys, command, data, fragment):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert fragment in err
+
+
 class TestInputsAndFormats:
     def test_edge_list_input(self, tmp_path, capsys):
         f = tmp_path / "g.txt"

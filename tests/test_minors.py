@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from chordcycles import (
     CyclicMinorModel,
+    find_dense_cycle,
     Graph,
     PreconditionError,
     ValidationError,
@@ -19,6 +20,9 @@ from chordcycles import (
     kll_prime_model,
     verify_model,
 )
+from chordcycles import minors
+from chordcycles.contraction import pipeline
+from chordcycles.graph import edge
 from chordcycles.oracle import first_hamiltonian_cycle
 
 from helpers import complete, cyc, figure_eight, icosahedron, petersen, prism
@@ -193,6 +197,96 @@ class TestK5Model:
             assert verify_model(k5_model(g, cycle))
             hits += 1
         assert hits >= 10
+
+
+def _reference_blocks_quotient(host, c, ivs):
+    """The block quotient rebuilt from scratch over all host edges."""
+    owner = {}
+    for i, (start, length) in enumerate(ivs):
+        for k in range(length):
+            owner[c[(start + k) % len(c)]] = i
+    edges = {edge(owner[u], owner[v]) for u, v in host.edges() if owner[u] != owner[v]}
+    return Graph(len(ivs), sorted(edges))
+
+
+def _reference_density_fixpoint(host, c):
+    """Rebuild the quotient after every merge; merge the first pair that
+    keeps |E| >= 3|V|, scanning from the block holding position 0."""
+    ivs = [(i, 1) for i in range(len(c))]
+    while True:
+        t = len(ivs)
+        q = _reference_blocks_quotient(host, c, ivs)
+        for i in range(t):
+            j = (i + 1) % t
+            if q.edge_count - 1 - len(q.adj[i] & q.adj[j]) >= 3 * (t - 1):
+                merged = (ivs[i][0], ivs[i][1] + ivs[j][1])
+                ivs = [merged] + ivs[1:t - 1] if j == 0 else ivs[:i] + [merged] + ivs[j + 1:]
+                break
+        else:
+            return ivs, q
+
+
+def _reference_cycle_rows(host, cycle):
+    """Sorted 1-columns of the dense adjacency matrix in cycle order."""
+    n = len(cycle)
+    matrix = [[int(i != j and host.has_edge(cycle[i], cycle[j])) for j in range(n)]
+              for i in range(n)]
+    return [[j for j, x in enumerate(row) if x] for row in matrix]
+
+
+def _chorded_cycle(n, extra, seed):
+    """A Hamiltonian cycle in random vertex order plus random chords, with
+    at least 3n + extra edges (capped at the complete graph)."""
+    rng = random.Random(seed)
+    cycle = list(range(n))
+    rng.shuffle(cycle)
+    edges = {edge(cycle[i], cycle[(i + 1) % n]) for i in range(n)}
+    want = min(3 * n + extra, n * (n - 1) // 2)
+    while len(edges) < want:
+        u, v = rng.sample(range(n), 2)
+        edges.add(edge(u, v))
+    return Graph(n, sorted(edges)), tuple(cycle)
+
+
+def _x2_quotient(n, seed):
+    g = generate("random_min_degree", {"n": n, "min_degree": 8}, seed=seed)
+    r2 = pipeline(g, find_dense_cycle(g, 8))[2]
+    return r2.quotient, r2.quotient_cycle
+
+
+class TestAgainstReference:
+    """The incremental K5 fixpoint and the sparse grid rows against the
+    rebuild-per-merge loop and the dense matrix they replaced."""
+
+    @staticmethod
+    def check(host, cycle):
+        ivs, q = minors._density_fixpoint(host, cycle)
+        assert (ivs, q) == _reference_density_fixpoint(host, cycle)
+        assert list(minors._cycle_rows(host, cycle)) == _reference_cycle_rows(host, cycle)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=7, max_value=28),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_chorded_cycles(self, n, extra, seed):
+        host, cycle = _chorded_cycle(n, extra, seed)
+        self.check(host, cycle)
+        assert verify_model(k5_model(host, cycle))
+
+    @pytest.mark.parametrize("n, extra, seed", [(8, 1, 12), (9, 0, 10)])
+    def test_merge_across_the_wrap(self, n, extra, seed):
+        # the last block merges into the block holding position 0
+        host, cycle = _chorded_cycle(n, extra, seed)
+        self.check(host, cycle)
+        assert minors._density_fixpoint(host, cycle)[0][0] == (n - 1, 2)
+
+    @pytest.mark.parametrize("n, seed", [(90, 0), (120, 1), (150, 2)])
+    def test_x2_quotients(self, n, seed):
+        host, cycle = _x2_quotient(n, seed)
+        assert host.edge_count >= 3 * host.n
+        self.check(host, cycle)
 
 
 class TestGridPartition:
