@@ -20,6 +20,7 @@ from .contraction import pipeline
 from .errors import ClosureShortfall, GraphError, PreconditionError, ValidationError
 from .graph import (
     Graph,
+    chords_of_cycle,
     degeneracy,
     degree_stats,
     format_rational,
@@ -32,7 +33,6 @@ from .lollipop import (
     SEEDS,
     ActiveClosure,
     WitnessPath,
-    chords_of_cycle,
     find_dense_cycle,
     improve_until_closed,
     initial_lollipop,
@@ -434,18 +434,29 @@ def _constructive_model(g: Graph, name: str, ell: int | None, k: int | None):
     return minors.kll_prime_model(host, cycle, ell)
 
 
-def _cmd_clique_minor(args) -> int:
-    g = _load_graph(args)
-    name, ell = _parse_target(args.target)
+def _model_or_not_found(args, g: Graph, name: str, ell: int | None):
+    """The constructive model, or None once the not-found line is printed.
+
+    A failed precondition is a not-found only when --k was left to adapt;
+    with an explicit --k it is the user's error and propagates.
+    """
     try:
         model = _constructive_model(g, name, ell, args.k)
     except PreconditionError as exc:
         if args.k is not None:
             raise
         _emit(args, f"no cyclic {args.target} minor found ({exc})")
-        return 2
+        return None
     if model is None:
         _emit(args, f"no cyclic {args.target} minor found")
+    return model
+
+
+def _cmd_clique_minor(args) -> int:
+    g = _load_graph(args)
+    name, ell = _parse_target(args.target)
+    model = _model_or_not_found(args, g, name, ell)
+    if model is None:
         return 2
     if args.oracle:
         target, _ = _target_graph(name, ell)
@@ -467,20 +478,28 @@ def _cmd_clique_minor(args) -> int:
     return 0
 
 
+def _census(g: Graph, cycle) -> tuple[set, frozenset]:
+    """The exhaustive census of a cycle: every Hamiltonian path of the graph
+    induced on its vertices from its anchor, and the paths its unpruned
+    rotation closure reaches.  LOLLIPOP_GUARD_N raises both size guards."""
+    guard = _guard_kwargs()
+    enum = oracle.full_active_enumeration(
+        g, cycle, **({"guard_t": guard["guard_n"]} if guard else {})
+    )
+    sub, old_ids = induced_subgraph(g, cycle)
+    everything = {
+        tuple(old_ids[v] for v in p)
+        for p in oracle.hamiltonian_paths_from(sub, old_ids.index(cycle[0]), **guard)
+    }
+    return everything, enum.paths
+
+
 def _cmd_active_paths(args) -> int:
     g = _load_graph(args)
     lollipop = initial_lollipop(g)
     if args.full:
-        guard = _guard_kwargs()
-        kwargs = {"guard_t": guard["guard_n"]} if guard else {}
-        enum = oracle.full_active_enumeration(g, lollipop.cycle, **kwargs)
-        sub, old_ids = induced_subgraph(g, lollipop.cycle)
-        start = old_ids.index(lollipop.cycle[0])
-        everything = {
-            tuple(old_ids[v] for v in p)
-            for p in oracle.hamiltonian_paths_from(sub, start, **_guard_kwargs())
-        }
-        total, active = len(everything), len(enum.paths)
+        everything, active_paths = _census(g, lollipop.cycle)
+        total, active = len(everything), len(active_paths)
         if args.format == "json":
             payload = {
                 "schema": SCHEMA,
@@ -490,7 +509,7 @@ def _cmd_active_paths(args) -> int:
                 "cycle": list(lollipop.cycle),
                 "paths": total,
                 "active": active,
-                "non_active": [list(p) for p in sorted(everything - enum.paths)],
+                "non_active": [list(p) for p in sorted(everything - active_paths)],
             }
             _emit(args, _dump(payload))
         else:
@@ -574,15 +593,8 @@ def _recertify(args, obj) -> int:
     if kind == "active_paths":
         g = _graph_from_json(obj.get("graph"))
         if obj.get("full"):
-            cycle = _vertices(obj.get("cycle"), "cycle", g)
-            enum = oracle.full_active_enumeration(g, cycle, **(
-                {"guard_t": _guard_kwargs()["guard_n"]} if _guard_kwargs() else {}
-            ))
-            sub, old_ids = induced_subgraph(g, cycle)
-            total = len(oracle.hamiltonian_paths_from(
-                sub, old_ids.index(cycle[0]), **_guard_kwargs()
-            ))
-            if total != obj.get("paths") or len(enum.paths) != obj.get("active"):
+            everything, active_paths = _census(g, _vertices(obj.get("cycle"), "cycle", g))
+            if len(everything) != obj.get("paths") or len(active_paths) != obj.get("active"):
                 raise ValidationError("census does not reproduce")
         else:
             closure = _closure_from_json(obj.get("closure"), obj.get("schema"))
@@ -623,15 +635,8 @@ def _cmd_certify(args) -> int:
         else:
             _emit(args, f"cyclic {args.target} minor found (exhaustive)")
         return 0
-    try:
-        model = _constructive_model(g, name, ell, args.k)
-    except PreconditionError as exc:
-        if args.k is not None:
-            raise
-        _emit(args, f"no cyclic {args.target} minor found ({exc})")
-        return 2
+    model = _model_or_not_found(args, g, name, ell)
     if model is None:
-        _emit(args, f"no cyclic {args.target} minor found")
         return 2
     if args.format == "json":
         _emit(args, _dump(_model_json(model, "constructive")))

@@ -9,7 +9,6 @@ and G2 keeps average degree at least 2(k+1)/3.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -17,12 +16,14 @@ from .errors import InternalInvariantError, ValidationError
 from .graph import (
     ContractionPlan,
     Graph,
+    check_cycle,
+    chords_of_cycle,
     contract_edges,
     degree_stats,
     edge,
     induced_subgraph,
 )
-from .lollipop import DenseCycleCertificate, cycle_edge_set
+from .lollipop import DenseCycleCertificate
 
 
 @dataclass(frozen=True)
@@ -43,27 +44,13 @@ class ContractionReport:
     m: int
 
 
-def _check_quotient_cycle(quotient: Graph, qcycle: tuple):
-    if len(qcycle) != quotient.n or len(set(qcycle)) != quotient.n:
-        raise InternalInvariantError("quotient cycle does not span the quotient")
-    for i in range(len(qcycle)):
-        if not quotient.has_edge(qcycle[i], qcycle[(i + 1) % len(qcycle)]):
-            raise InternalInvariantError("quotient cycle step is not an edge")
-
-
 def passive_contraction(g: Graph, cert: DenseCycleCertificate) -> ContractionReport:
     """Drop everything off the cycle, then contract the passive edges.
 
     Active vertices are untouched by the contraction and keep their exact
     cycle degree in the quotient; that is asserted, not hoped for.
     """
-    cycle = cert.cycle
-    for u in cycle:
-        if not 0 <= u < g.n:
-            raise ValidationError(f"certificate cycle vertex {u} not in graph")
-    for i in range(len(cycle)):
-        if not g.has_edge(cycle[i], cycle[(i + 1) % len(cycle)]):
-            raise ValidationError("certificate cycle is not a cycle of this graph")
+    cycle = check_cycle(g, cert.cycle)
     active = set(cert.closure.active)
     if not active <= set(cycle):
         raise ValidationError("certificate active set strays off its cycle")
@@ -78,7 +65,8 @@ def passive_contraction(g: Graph, cert: DenseCycleCertificate) -> ContractionRep
 
     quotient, plan = contract_edges(g0, passive0, cycle=cycle0)
     qcycle = tuple(plan.class_of[arc[0]] for arc in plan.arcs)
-    _check_quotient_cycle(quotient, qcycle)
+    if len(check_cycle(quotient, qcycle)) != quotient.n:
+        raise InternalInvariantError("quotient cycle does not span the quotient")
 
     active_classes = frozenset(plan.class_of[u] for u in active0)
     if len(active_classes) != len(active0):
@@ -90,11 +78,8 @@ def passive_contraction(g: Graph, cert: DenseCycleCertificate) -> ContractionRep
             )
 
     m = len(active_classes)
-    qcycle_edges = cycle_edge_set(qcycle)
     n_a = n_b = 0
-    for a, b in quotient.edges():
-        if edge(a, b) in qcycle_edges:
-            continue
+    for a, b in chords_of_cycle(quotient, qcycle):
         hits = (a in active_classes) + (b in active_classes)
         if hits == 2:
             n_a += 1
@@ -127,10 +112,11 @@ def half_contraction(report0: ContractionReport) -> ContractionReport:
     alternation structure).  In a simple quotient that can occasionally destroy
     a chord outright, when the chord lands parallel to a cycle edge, and a
     vertex with no slack then drops below ceil((k+2)/2).  Merging is only an
-    existence game, so when that happens alternative pairings are tried:
-    flipped orientations, leaving high-degree non-active classes unmerged, and
-    for small instances an exhaustive sweep.  The first pairing meeting the
-    floor wins; if none does, that is an internal error worth hearing about.
+    existence game, so when that happens two more pairings are tried: every
+    non-active class merges with its successor instead, and then only the
+    classes below the floor merge with their predecessor while the others
+    stay unmerged.  The first pairing meeting the floor wins; if none does,
+    that is an internal error worth hearing about.
 
     For k = 2 the pairing can crush the quotient to a single simple edge, so
     the plan keeps the passive quotient, whose spanning cycle already meets
@@ -159,37 +145,24 @@ def half_contraction(report0: ContractionReport) -> ContractionReport:
                 f"non-active class {cls} is not isolated between active classes"
             )
         positions.append(i)
-    # classes that can stand alone without breaking the degree floor
-    skippable = {i for i in positions if quotient0.degree(qcycle[i]) >= floor}
+    # classes that cannot stand alone without breaking the degree floor
+    forced = [i for i in positions if quotient0.degree(qcycle[i]) < floor]
 
     cycle0 = tuple(v for arc in arcs for v in arc)
     base_edges = set(report0.plan.contracted_edges)
     best = None
-    for assignment in _pairing_choices(positions, skippable):
-        partners = {}
-        taken = set()
-        feasible = True
-        for i, side in assignment.items():
-            j = (i + side) % size
-            if j in taken:
-                feasible = False
-                break
-            partners[i] = j
-            taken.add(j)
-        if not feasible:
-            continue
+    for assignment in _pairing_choices(positions, forced):
         # a quotient-cycle edge (class, partner) is witnessed by the host cycle
-        # edge joining the two arcs' facing endpoints
-        extra = []
-        for i, j in partners.items():
-            if j == (i - 1) % size:
-                extra.append(edge(arcs[j][-1], arcs[i][0]))
-            else:
-                extra.append(edge(arcs[i][-1], arcs[j][0]))
-        contracted = sorted(base_edges | set(extra))
-        quotient, plan = contract_edges(g0, contracted, cycle=cycle0)
+        # edge joining the two arcs' facing endpoints; each pattern merges in
+        # one direction, so no two classes share a partner
+        extra = {
+            edge(arcs[i - 1][-1], arcs[i][0]) if side < 0
+            else edge(arcs[i][-1], arcs[(i + 1) % size][0])
+            for i, side in assignment.items()
+        }
+        quotient, plan = contract_edges(g0, sorted(base_edges | extra), cycle=cycle0)
         if min(quotient.degree(u) for u in range(quotient.n)) >= floor:
-            best = (quotient, plan, len(positions) - len(partners))
+            best = (quotient, plan, len(positions) - len(assignment))
             break
     if best is None:
         raise InternalInvariantError(
@@ -198,7 +171,8 @@ def half_contraction(report0: ContractionReport) -> ContractionReport:
 
     quotient, plan, skipped = best
     qcycle1 = tuple(plan.class_of[arc[0]] for arc in plan.arcs)
-    _check_quotient_cycle(quotient, qcycle1)
+    if len(check_cycle(quotient, qcycle1)) != quotient.n:
+        raise InternalInvariantError("quotient cycle does not span the quotient")
     if quotient.n != report0.m + skipped:
         raise InternalInvariantError(
             f"half contraction left {quotient.n} classes, "
@@ -225,39 +199,18 @@ def half_contraction(report0: ContractionReport) -> ContractionReport:
     )
 
 
-def _pairing_choices(positions, skippable):
-    """Candidate merge patterns, strongest-fidelity first.
+def _pairing_choices(positions, forced):
+    """The merge patterns tried, in order.
 
     Each assignment maps a non-active position to -1 (merge with predecessor)
-    or +1 (merge with successor); omitted positions stay unmerged.  The first
-    pattern is the uniform predecessor pairing; later ones trade fidelity for
-    robustness.  Infeasible patterns (two classes grabbing one neighbor) are
-    filtered by the caller.
+    or +1 (merge with successor); omitted positions stay unmerged.  Pattern 0
+    is the uniform predecessor pairing, pattern 1 the uniform successor
+    pairing, and pattern 2 merges only the `forced` positions, those whose
+    class is below the degree floor, with their predecessors.
     """
     yield {i: -1 for i in positions}
     yield {i: +1 for i in positions}
-    forced = [i for i in positions if i not in skippable]
     yield {i: -1 for i in forced}
-    yield {i: +1 for i in forced}
-    if len(positions) <= 8:
-        options = [(-1, +1) if i not in skippable else (-1, +1, None) for i in positions]
-        for combo in itertools.product(*options):
-            assignment = {
-                i: side for i, side in zip(positions, combo) if side is not None
-            }
-            yield assignment
-    else:
-        # alternate orientations; cheap extra shots for large instances
-        yield {i: (-1 if parity % 2 == 0 else +1) for parity, i in enumerate(positions)}
-        yield {i: (+1 if parity % 2 == 0 else -1) for parity, i in enumerate(positions)}
-        yield {
-            i: (-1 if parity % 2 == 0 else +1)
-            for parity, i in enumerate(forced)
-        }
-        yield {
-            i: (+1 if parity % 2 == 0 else -1)
-            for parity, i in enumerate(forced)
-        }
 
 
 def choose_average_plan(

@@ -117,6 +117,49 @@ def degree_stats(g: Graph) -> DegreeStats:
     )
 
 
+def check_path(g: Graph, path) -> tuple:
+    """`path` as a tuple, once it is known to be a path of g: nonempty,
+    distinct vertices of g, each adjacent to the next.  Raises
+    ValidationError otherwise."""
+    path = tuple(path)
+    if not path or len(set(path)) != len(path):
+        raise ValidationError("a path needs at least one vertex, with no repeats")
+    # the other vertices are in range once each is adjacent to its predecessor
+    if not 0 <= path[0] < g.n:
+        raise ValidationError(f"vertex {path[0]} not in graph")
+    for a, b in zip(path, path[1:]):
+        if b not in g.adj[a]:
+            raise ValidationError(f"({a}, {b}) is not an edge of the graph")
+    return path
+
+
+def check_cycle(g: Graph, cycle) -> tuple:
+    """`cycle` as a tuple, once it is known to be a cycle of g: a path of g
+    on at least 3 vertices whose last vertex is adjacent to its first.
+    Raises ValidationError otherwise."""
+    cycle = check_path(g, cycle)
+    if len(cycle) < 3:
+        raise ValidationError("a cycle needs at least 3 vertices")
+    if cycle[0] not in g.adj[cycle[-1]]:
+        raise ValidationError(f"({cycle[-1]}, {cycle[0]}) is not an edge of the graph")
+    return cycle
+
+
+def cycle_edge_set(cycle) -> frozenset:
+    return frozenset(edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle)))
+
+
+def chords_of_cycle(g: Graph, cycle) -> tuple:
+    """Edges of g between non-consecutive cycle vertices, sorted."""
+    on_cycle = set(cycle)
+    skip = cycle_edge_set(cycle)
+    return tuple(
+        e
+        for e in g.edges()
+        if e[0] in on_cycle and e[1] in on_cycle and e not in skip
+    )
+
+
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     """Subgraph on `vertices`, relabeled densely in sorted order.
 
@@ -192,13 +235,8 @@ def contract_edges(g: Graph, edges, cycle=None) -> tuple[Graph, ContractionPlan]
 
 def _cycle_arcs(g: Graph, cycle, class_of) -> tuple:
     """Split `cycle` into maximal runs of equal class; every class must be one run."""
-    cycle = tuple(cycle)
+    cycle = check_cycle(g, cycle)
     t = len(cycle)
-    if t < 3 or len(set(cycle)) != t:
-        raise ValidationError("distinguished cycle must list distinct vertices, length >= 3")
-    for i in range(t):
-        if not g.has_edge(cycle[i], cycle[(i + 1) % t]):
-            raise ValidationError(f"cycle step ({cycle[i]}, {cycle[(i + 1) % t]}) is not an edge")
     classes = [class_of[v] for v in cycle]
     if len(set(classes)) == 1:
         return (cycle,)

@@ -20,7 +20,7 @@ from .errors import (
     RuleNotApplicable,
     ValidationError,
 )
-from .graph import Graph, edge
+from .graph import Graph, check_cycle, check_path, chords_of_cycle, edge
 
 
 @dataclass(frozen=True)
@@ -261,38 +261,12 @@ class DenseCycleCertificate:
     iterations: int
 
 
-def cycle_edge_set(cycle) -> frozenset:
-    return frozenset(edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle)))
-
-
-def chords_of_cycle(g: Graph, cycle) -> tuple:
-    """Edges of g between non-consecutive cycle vertices, sorted."""
-    on_cycle = set(cycle)
-    skip = cycle_edge_set(cycle)
-    return tuple(
-        e
-        for e in g.edges()
-        if e[0] in on_cycle and e[1] in on_cycle and e not in skip
-    )
-
-
 def validate_lollipop(g: Graph, l: Lollipop):
-    path, cycle = l.path, l.cycle
-    if len(path) < 1 or len(cycle) < 3:
-        raise ValidationError("lollipop needs a nonempty path and a cycle of length >= 3")
+    path, cycle = check_path(g, l.path), check_cycle(g, l.cycle)
     if path[-1] != cycle[0]:
         raise ValidationError("path must end at the cycle's anchor vertex")
-    if len(set(path)) != len(path) or len(set(cycle)) != len(cycle):
-        raise ValidationError("lollipop path and cycle must not repeat vertices")
     if set(path) & set(cycle) != {cycle[0]}:
         raise ValidationError("path and cycle may share only the anchor")
-    for a, b in zip(path, path[1:]):
-        if not g.has_edge(a, b):
-            raise ValidationError(f"path step ({a}, {b}) is not an edge")
-    for i in range(len(cycle)):
-        a, b = cycle[i], cycle[(i + 1) % len(cycle)]
-        if not g.has_edge(a, b):
-            raise ValidationError(f"cycle step ({a}, {b}) is not an edge")
 
 
 def vertex_set(l: Lollipop) -> frozenset:
@@ -308,12 +282,11 @@ def maximal_path_extend(g: Graph, p) -> tuple:
     neighbor id.  Head growth only ever consumes vertices, so one pass per end
     leaves both ends saturated.
     """
-    p = tuple(p)
-    if not p or len(set(p)) != len(p):
-        raise ValidationError("need a nonempty path of distinct vertices")
-    for a, b in zip(p, p[1:]):
-        if not g.has_edge(a, b):
-            raise ValidationError(f"path step ({a}, {b}) is not an edge")
+    return _grow(g, check_path(g, p))
+
+
+def _grow(g: Graph, p: tuple) -> tuple:
+    # maximal_path_extend on a path already known to be a path of g
     on_path = set(p)
     tail = list(p)
     while True:
@@ -510,9 +483,9 @@ def _longer_cycle(l: Lollipop, wp: WitnessPath, x: int) -> Improvement:
 
 def _larger_vertex_set(g: Graph, l: Lollipop, wp: WitnessPath, x: int) -> Improvement:
     # x is a fresh vertex: straighten the lollipop into a path, append x,
-    # grow maximally, and close a cycle again
-    base = l.path[:-1] + wp.sequence + (x,)
-    grown = maximal_path_extend(g, base)
+    # grow maximally, and close a cycle again; the engine built the path, so
+    # it is not checked again
+    grown = _grow(g, l.path[:-1] + wp.sequence + (x,))
     return Improvement(lollipop_from_path(g, grown), reason="larger_vertex_set")
 
 
@@ -522,8 +495,8 @@ def verify_closure_lemmas(g: Graph, closure: ActiveClosure):
     """Audit an emitted closure against everything the theory promises.
 
     Raises InternalInvariantError on the first violation, or ValidationError
-    when a derivation step does not fit its path.  The cycle must be a cycle
-    of g.  Each witness is checked step by step: its seed is one of the
+    when the cycle is not a cycle of g or a derivation step does not fit its
+    path.  Each witness is checked step by step: its seed is one of the
     cycle's two orientations and ends at an active vertex; each step starts at
     the current end, pivots at a graph edge (u, v) that is a chord of the
     current path, and breaks the edge from v to its successor w, which must be
@@ -545,13 +518,7 @@ def verify_closure_lemmas(g: Graph, closure: ActiveClosure):
     def fail(message):
         raise InternalInvariantError(message)
 
-    if t < 3 or len(index) != t:
-        fail("closure cycle needs at least 3 distinct vertices")
-    if any(not 0 <= v < g.n for v in cycle):
-        fail("closure cycle leaves the graph's vertex range")
-    for i in range(t):
-        if not g.has_edge(cycle[i - 1], cycle[i]):
-            fail(f"closure cycle uses non-edge ({cycle[i - 1]}, {cycle[i]})")
+    check_cycle(g, cycle)
     if cycle[0] in active:
         fail("anchor vertex is marked active")
     if set(closure.witnesses) != set(active):

@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .graph import Graph, edge, generate
+from .graph import Graph, check_cycle, check_path, chords_of_cycle, generate
 
 
 @dataclass(frozen=True)
@@ -68,19 +68,6 @@ def kll_prime_graph(ell: int) -> tuple[Graph, tuple[int, ...]]:
     return Graph(2 * ell, edges), tuple(range(2 * ell))
 
 
-def _validate_cycle_in(g: Graph, cycle: tuple[int, ...], what: str) -> None:
-    if len(cycle) < 2 or len(set(cycle)) != len(cycle):
-        raise ValidationError(f"{what} is not a cycle")
-    if len(cycle) == 2:
-        # degenerate two-vertex cycle: the single edge traversed both ways
-        if not g.has_edge(cycle[0], cycle[1]):
-            raise ValidationError(f"{what} edge missing")
-        return
-    for i, u in enumerate(cycle):
-        if not g.has_edge(u, cycle[(i + 1) % len(cycle)]):
-            raise ValidationError(f"{what} has a non-edge")
-
-
 def verify_model(m: CyclicMinorModel) -> bool:
     """True iff every target edge is realized between the matching arcs.
 
@@ -88,8 +75,12 @@ def verify_model(m: CyclicMinorModel) -> bool:
     mismatched counts) raise; a well-formed model that misses an edge is
     just False.
     """
-    _validate_cycle_in(m.host, m.host_cycle, "host cycle")
-    _validate_cycle_in(m.target, m.target_cycle, "target cycle")
+    check_cycle(m.host, m.host_cycle)
+    if len(m.target_cycle) == 2:
+        # K'll with l = 1 is a single edge: its cycle walks that edge both ways
+        check_path(m.target, m.target_cycle)
+    else:
+        check_cycle(m.target, m.target_cycle)
     if len(m.target_cycle) != m.target.n:
         raise ValidationError("target cycle is not Hamiltonian")
     if len(m.arcs) != m.target.n:
@@ -159,16 +150,6 @@ def _cycle_positions(c: tuple[int, ...]) -> dict[int, int]:
     return {v: i for i, v in enumerate(c)}
 
 
-def _chords(g: Graph, c: tuple[int, ...]) -> list[tuple[int, int]]:
-    on_cycle = {edge(c[i], c[(i + 1) % len(c)]) for i in range(len(c))}
-    member = set(c)
-    out = []
-    for u, v in g.edges():
-        if u in member and v in member and (u, v) not in on_cycle:
-            out.append((u, v))
-    return out
-
-
 def _arcs_from_intervals(
     c: tuple[int, ...], intervals: list[tuple[int, int]]
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -200,12 +181,11 @@ def k4_model(f: Graph, c: tuple[int, ...]) -> CyclicMinorModel:
     and the rest of the cycle; minimality of P forces every chord at z out
     of P, which supplies the fourth clique edge.
     """
-    _validate_cycle_in(f, c, "host cycle")
-    if len(c) != f.n:
+    if len(check_cycle(f, c)) != f.n:
         raise ValidationError("cycle is not Hamiltonian")
     if min(f.degree(u) for u in range(f.n)) < 3:
         raise PreconditionError("need minimum degree 3")
-    chords = _chords(f, c)
+    chords = chords_of_cycle(f, c)
     if not chords:
         raise PreconditionError("cycle has no chord")
     pos = _cycle_positions(c)
@@ -335,8 +315,7 @@ def k5_model(f: Graph, c: tuple[int, ...]) -> CyclicMinorModel:
         raise PreconditionError(
             f"need |E| >= 3|V|, have {f.edge_count} < {3 * f.n}"
         )
-    _validate_cycle_in(f, c, "host cycle")
-    if len(c) != f.n:
+    if len(check_cycle(f, c)) != f.n:
         raise ValidationError("cycle is not Hamiltonian")
 
     ivs, q = _density_fixpoint(f, c)
@@ -561,8 +540,7 @@ def _bipartite_layout(host, cycle, ell):
 def kll_prime_model(host: Graph, cycle: tuple[int, ...], ell: int) -> CyclicMinorModel | None:
     """Block-partition the cycle's adjacency matrix into 2l x 2l and read off
     the two sides; None when no partition exists (exactly for small hosts)."""
-    _validate_cycle_in(host, cycle, "host cycle")
-    if len(cycle) != host.n:
+    if len(check_cycle(host, cycle)) != host.n:
         raise ValidationError("cycle is not Hamiltonian")
     if ell < 1:
         raise ValidationError("need a positive bipartite side")
@@ -594,8 +572,7 @@ def k6_from_bipartite(host: Graph, cycle: tuple[int, ...]) -> CyclicMinorModel |
     leaves six arcs whose cross edges are all supplied by the bipartite
     blocks or the cycle itself.
     """
-    _validate_cycle_in(host, cycle, "host cycle")
-    if len(cycle) != host.n:
+    if len(check_cycle(host, cycle)) != host.n:
         raise ValidationError("cycle is not Hamiltonian")
     layout = _bipartite_layout(host, cycle, 4)
     if layout is None:

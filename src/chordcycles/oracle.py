@@ -12,7 +12,15 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import SizeGuardExceeded, ValidationError
-from .graph import Graph, chord_budget_degeneracy_bound, degeneracy, edge, induced_subgraph
+from .graph import (
+    Graph,
+    check_cycle,
+    chord_budget_degeneracy_bound,
+    cycle_edge_set,
+    degeneracy,
+    edge,
+    induced_subgraph,
+)
 
 
 def _check_guard(value: int, guard: int, what: str):
@@ -22,18 +30,36 @@ def _check_guard(value: int, guard: int, what: str):
         )
 
 
-def _validate_cycle(g: Graph, cycle) -> tuple:
-    cycle = tuple(cycle)
-    if len(cycle) < 3 or len(set(cycle)) != len(cycle):
-        raise ValidationError("cycle must list at least 3 distinct vertices")
-    for i, u in enumerate(cycle):
-        v = cycle[(i + 1) % len(cycle)]
-        if not (0 <= u < g.n and g.has_edge(u, v)):
-            raise ValidationError(f"cycle step ({u}, {v}) is not an edge of the graph")
-    return cycle
-
-
 # --- Hamiltonian enumeration ------------------------------------------------
+
+def _hamiltonian_paths(g: Graph, start: int, close: bool):
+    """Hamiltonian paths of g from `start`, in lexicographic order.
+
+    With close, only canonical Hamiltonian cycles: paths whose last vertex is
+    adjacent to `start` and whose second entry is smaller than their last,
+    so each cycle appears once per rotation/reflection class.
+    """
+    n = g.n
+    if close and n < 3:
+        return
+    nbrs = [sorted(a) for a in g.adj]
+    used = [False] * n
+    used[start] = True
+    path = [start]
+    stack = [iter(nbrs[start])]  # the untried neighbours of each path vertex
+    while path:
+        if len(path) == n and (not close or (path[1] < path[-1] and start in g.adj[path[-1]])):
+            yield tuple(path)
+        for v in stack[-1]:  # a full path has no unused neighbour left
+            if not used[v]:
+                used[v] = True
+                path.append(v)
+                stack.append(iter(nbrs[v]))
+                break
+        else:
+            stack.pop()
+            used[path.pop()] = False
+
 
 def enumerate_hamiltonian_cycles(g: Graph, guard_n: int = 14) -> list[tuple]:
     """All Hamiltonian cycles of g, one representative per rotation/reflection.
@@ -42,56 +68,13 @@ def enumerate_hamiltonian_cycles(g: Graph, guard_n: int = 14) -> list[tuple]:
     output is in lexicographic order.  Empty list when none exist.
     """
     _check_guard(g.n, guard_n, "vertex count")
-    if g.n < 3:
-        return []
-    results = []
-    used = [False] * g.n
-    used[0] = True
-    path = [0]
-
-    def extend():
-        if len(path) == g.n:
-            if g.has_edge(path[-1], 0) and path[1] < path[-1]:
-                results.append(tuple(path))
-            return
-        for v in sorted(g.adj[path[-1]]):
-            if not used[v]:
-                used[v] = True
-                path.append(v)
-                extend()
-                path.pop()
-                used[v] = False
-
-    extend()
-    return results
+    return list(_hamiltonian_paths(g, 0, True))
 
 
 def first_hamiltonian_cycle(g: Graph, guard_n: int = 14) -> tuple | None:
     """Lexicographically first canonical Hamiltonian cycle, or None."""
     _check_guard(g.n, guard_n, "vertex count")
-    if g.n < 3:
-        return None
-    used = [False] * g.n
-    used[0] = True
-    path = [0]
-
-    def extend():
-        if len(path) == g.n:
-            if g.has_edge(path[-1], 0) and path[1] < path[-1]:
-                return tuple(path)
-            return None
-        for v in sorted(g.adj[path[-1]]):
-            if not used[v]:
-                used[v] = True
-                path.append(v)
-                found = extend()
-                path.pop()
-                used[v] = False
-                if found is not None:
-                    return found
-        return None
-
-    return extend()
+    return next(_hamiltonian_paths(g, 0, True), None)
 
 
 def hamiltonian_paths_from(g: Graph, start: int, guard_n: int = 14) -> list[tuple]:
@@ -99,25 +82,7 @@ def hamiltonian_paths_from(g: Graph, start: int, guard_n: int = 14) -> list[tupl
     _check_guard(g.n, guard_n, "vertex count")
     if not 0 <= start < g.n:
         raise ValidationError(f"start vertex {start} not in graph")
-    results = []
-    used = [False] * g.n
-    used[start] = True
-    path = [start]
-
-    def extend():
-        if len(path) == g.n:
-            results.append(tuple(path))
-            return
-        for v in sorted(g.adj[path[-1]]):
-            if not used[v]:
-                used[v] = True
-                path.append(v)
-                extend()
-                path.pop()
-                used[v] = False
-
-    extend()
-    return results
+    return list(_hamiltonian_paths(g, start, False))
 
 
 # --- rotation fixpoint, no pruning -----------------------------------------
@@ -153,19 +118,15 @@ def _seed_paths(cycle: tuple) -> tuple:
     return forward, backward
 
 
-def cycle_edge_frozenset(cycle) -> frozenset:
-    return frozenset(edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle)))
-
-
 def full_active_enumeration(g: Graph, cycle, guard_t: int = 10) -> FullEnumeration:
     """Close the two cycle orientations under rotations, keeping every path.
 
     Paths are Hamiltonian paths of the graph induced on the cycle's vertices,
     all starting at cycle[0]; `active` collects their terminal vertices.
     """
-    cycle = _validate_cycle(g, cycle)
+    cycle = check_cycle(g, cycle)
     _check_guard(len(cycle), guard_t, "cycle length")
-    cycle_edges = cycle_edge_frozenset(cycle)
+    cycle_edges = cycle_edge_set(cycle)
     seen = set(_seed_paths(cycle))
     frontier = list(seen)
     while frontier:
@@ -186,11 +147,11 @@ def rotation_levels(g: Graph, cycle, levels: int, guard_t: int = 10) -> list[fro
     members of S_i.  Containment of consecutive levels is a theorem about the
     rule, not baked into this construction, so tests can observe it honestly.
     """
-    cycle = _validate_cycle(g, cycle)
+    cycle = check_cycle(g, cycle)
     _check_guard(len(cycle), guard_t, "cycle length")
     if levels < 1:
         raise ValidationError("need at least one level")
-    cycle_edges = cycle_edge_frozenset(cycle)
+    cycle_edges = cycle_edge_set(cycle)
     out = [frozenset(_seed_paths(cycle))]
     for _ in range(levels - 1):
         nxt = set()

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from chordcycles import (
+    InternalInvariantError,
     choose_average_plan,
     degree_stats,
     find_dense_cycle,
@@ -109,3 +112,43 @@ class TestGuaranteedBounds:
         assert all(0 <= c < r1.quotient.n for c in r1.active_classes)
         # Non-active classes merge into active ones, never the reverse.
         assert len(r1.active_classes) == len(r0.active_classes)
+
+
+def random_sparse_host(n, seed):
+    return generate("random_min_degree", {"n": n, "min_degree": 3, "avg": 3}, seed=seed)
+
+
+class TestFallbackPairings:
+    """Hosts where the textbook predecessor pairing misses the floor."""
+
+    def test_successor_pairing(self):
+        # pattern 1: merging with predecessors drops a degree; merging the
+        # anchor class with its successor instead gives K4
+        r0, r1, _ = run_pipeline(random_sparse_host(5, 979961074), 3)
+        assert r0.quotient.n == 5
+        assert r1.quotient.edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert sorted(r1.plan.contracted_edges) == [(0, 2)]
+
+    def test_only_classes_below_the_floor_merge(self):
+        # pattern 2: both uniform pairings drop a degree; the anchor class
+        # already meets the floor, so it stays unmerged and X1 is X0
+        r0, r1, _ = run_pipeline(random_sparse_host(5, 406059994), 3)
+        assert r1.quotient.n == 5
+        assert r1.quotient.edges() == [
+            (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (3, 4),
+        ]
+        assert r1.quotient == r0.quotient
+        assert not r1.plan.contracted_edges
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InternalInvariantError,
+    reason="known defect: a degree-2 non-active class of X0 whose cycle "
+    "neighbours are adjacent loses its chord to a cycle edge whichever "
+    "neighbour it merges with, so no pairing reaches the floor",
+)
+@pytest.mark.parametrize("n, seed", [(12, 45718506), (27, 408633196)])
+def test_x1_floor_when_a_chord_parallels_a_cycle_edge(n, seed):
+    _, r1, _ = run_pipeline(random_sparse_host(n, seed), 3)
+    assert degree_stats(r1.quotient).min_degree >= 3

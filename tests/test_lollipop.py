@@ -22,8 +22,6 @@ from chordcycles.lollipop import (
     Improvement,
     WitnessPath,
     active_closure,
-    chords_of_cycle,
-    cycle_edge_set,
     lollipop_from_path,
     maximal_path_extend,
     required_active_count,
@@ -31,7 +29,8 @@ from chordcycles.lollipop import (
     validate_lollipop,
     vertex_set,
 )
-from chordcycles.oracle import cycle_edge_frozenset, full_active_enumeration
+from chordcycles.graph import chords_of_cycle, cycle_edge_set
+from chordcycles.oracle import full_active_enumeration
 
 from helpers import complete, cyc, petersen, prism
 
@@ -43,46 +42,46 @@ def fresh_witness(cycle):
 class TestRotate:
     def test_basic_pivot(self):
         # Path 0..4, chord (4, 1): the tail after 1 flips, 2 becomes the end.
-        cycle_edges = cycle_edge_frozenset((0, 1, 2, 3, 4))
+        cycle_edges = cycle_edge_set((0, 1, 2, 3, 4))
         q = rotate(fresh_witness((0, 1, 2, 3, 4)), (4, 1), cycle_edges)
         assert q.sequence == (0, 1, 4, 3, 2)
         assert q.derivation == (((4, 1), 2),)
 
     def test_wrong_end_rejected(self):
-        cycle_edges = cycle_edge_frozenset((0, 1, 2, 3, 4))
+        cycle_edges = cycle_edge_set((0, 1, 2, 3, 4))
         with pytest.raises(ValidationError):
             rotate(fresh_witness((0, 1, 2, 3, 4)), (3, 0), cycle_edges)
 
     def test_path_edge_not_a_chord(self):
-        cycle_edges = cycle_edge_frozenset((0, 1, 2, 3, 4))
+        cycle_edges = cycle_edge_set((0, 1, 2, 3, 4))
         with pytest.raises(RuleNotApplicable):
             rotate(fresh_witness((0, 1, 2, 3, 4)), (4, 3), cycle_edges)
 
     def test_broken_edge_must_lie_on_cycle(self):
         # Breaking 1--2 is only allowed while that edge belongs to the
         # reference cycle; an off-cycle successor blocks the move.
-        cycle_edges = cycle_edge_frozenset((0, 2, 1, 3, 4))
+        cycle_edges = cycle_edge_set((0, 2, 1, 3, 4))
         q = fresh_witness((0, 1, 2, 3, 4))
         with pytest.raises(RuleNotApplicable):
             rotate(q, (4, 0), cycle_edges)
 
     def test_graph_check_optional(self):
         g = cyc(5)
-        cycle_edges = cycle_edge_frozenset((0, 1, 2, 3, 4))
+        cycle_edges = cycle_edge_set((0, 1, 2, 3, 4))
         with pytest.raises(ValidationError):
             rotate(fresh_witness((0, 1, 2, 3, 4)), (4, 1), cycle_edges, g=g)
 
 
 class TestReplay:
     def test_round_trip_single(self):
-        cycle_edges = cycle_edge_frozenset((0, 1, 2, 3, 4))
+        cycle_edges = cycle_edge_set((0, 1, 2, 3, 4))
         q = rotate(fresh_witness((0, 1, 2, 3, 4)), (4, 1), cycle_edges)
         assert replay(q.seed, q.derivation) == q.sequence
 
     def test_round_trip_chain(self):
         g = complete(6)
         cycle = tuple(range(6))
-        cycle_edges = cycle_edge_frozenset(cycle)
+        cycle_edges = cycle_edge_set(cycle)
         q = fresh_witness(cycle)
         rng = random.Random(3)
         for _ in range(12):
@@ -98,7 +97,7 @@ class TestReplay:
         assert replay(q.seed, q.derivation) == q.sequence
 
     def test_corrupted_derivation_caught(self):
-        cycle_edges = cycle_edge_frozenset((0, 1, 2, 3, 4))
+        cycle_edges = cycle_edge_set((0, 1, 2, 3, 4))
         q = rotate(fresh_witness((0, 1, 2, 3, 4)), (4, 1), cycle_edges)
         bad = (((4, 1), 3),)
         with pytest.raises(ValidationError):

@@ -1,9 +1,12 @@
+import ast
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chordcycles import Graph, SizeGuardExceeded, ValidationError, degeneracy, generate
+from chordcycles import Graph, SizeGuardExceeded, ValidationError, degeneracy, generate, oracle
 from chordcycles.oracle import (
     brute_degeneracy,
     corollary_check,
@@ -61,6 +64,24 @@ class TestHamiltonianEnumeration:
         paths = hamiltonian_paths_from(complete(4), 0)
         assert len(paths) == 6
         assert all(p[0] == 0 and len(set(p)) == 4 for p in paths)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_n=7))
+    def test_matches_permutation_reference(self, g):
+        # every vertex order that walks edges, in lexicographic order
+        paths = [
+            p for p in itertools.permutations(range(g.n))
+            if all(b in g.adj[a] for a, b in zip(p, p[1:]))
+        ]
+        for start in range(g.n):
+            assert hamiltonian_paths_from(g, start) == [p for p in paths if p[0] == start]
+        cycles = [
+            p for p in paths
+            if g.n >= 3 and p[0] == 0 and p[1] < p[-1] and g.has_edge(p[-1], 0)
+        ]
+        assert enumerate_hamiltonian_cycles(g) == cycles
+        assert first_hamiltonian_cycle(g) == (cycles[0] if cycles else None)
 
 
 class TestFullEnumeration:
@@ -208,3 +229,16 @@ class TestBruteDegeneracy:
         if g.n == 0:
             return
         assert brute_degeneracy(g) == degeneracy(g).degeneracy
+
+
+def test_oracle_imports_only_the_graph_core():
+    # the oracle cross-checks the constructive modules, so it shares no code
+    # with them: from this package it imports the graph core and errors only
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    own = {name for name in imported if name.startswith((".", "chordcycles"))}
+    assert own == {".graph", ".errors"}
