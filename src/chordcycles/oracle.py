@@ -177,14 +177,122 @@ class CyclicMinorWitness:
     target_cycle: tuple
 
 
-def _arcs_for_cuts(seq: tuple, cuts: tuple) -> tuple:
-    rotated = seq[cuts[0]:] + seq[: cuts[0]]
-    offsets = [c - cuts[0] for c in cuts] + [len(seq)]
-    return rotated, tuple(tuple(rotated[offsets[i]: offsets[i + 1]]) for i in range(len(cuts)))
+def _neighbour_masks(g: Graph) -> list[int]:
+    """Bit u of masks[v] is set when uv is an edge of g."""
+    masks = []
+    for nbrs in g.adj:
+        mask = 0
+        for u in nbrs:
+            mask |= 1 << u
+        masks.append(mask)
+    return masks
 
 
-def _arc_adjacent(g: Graph, a: tuple, b: tuple) -> bool:
-    return any(v in g.adj[u] for u in a for v in b)
+def _subset_census(nb: list[int], sizes):
+    """(subset, its mask, induced edge count, induced minimum degree) for every
+    vertex subset of each size in `sizes`, each size in lexicographic order."""
+    for size in sizes:
+        for subset in itertools.combinations(range(len(nb)), size):
+            mask = 0
+            for v in subset:
+                mask |= 1 << v
+            degrees = [(nb[v] & mask).bit_count() for v in subset]
+            yield subset, mask, sum(degrees) // 2, min(degrees)
+
+
+def _mask_connected(nb: list[int], mask: int) -> bool:
+    seen = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= nb[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & mask & ~seen
+        seen |= frontier
+    return seen == mask
+
+
+def _pair_checks(target: Graph, alignments: list[tuple]) -> list[list]:
+    """checks[j] lists (i, keep) for each earlier arc i < j that arc j must
+    touch under some alignment; `keep` clears those alignments from a mask.
+
+    Arcs next to each other on the cycle, the last arc and arc 0 included,
+    always touch through the cycle edge between them, so they are not listed.
+    """
+    nt = target.n
+    needs = {}
+    for a, aligned in enumerate(alignments):
+        pos = {vtx: i for i, vtx in enumerate(aligned)}
+        for u, v in target.edges():
+            key = tuple(sorted((pos[u], pos[v])))
+            needs[key] = needs.get(key, 0) | 1 << a
+    return [
+        [
+            (i, ~needs[i, j])
+            for i in range(j - 1)
+            if (i, j) in needs and (i, j) != (0, nt - 1)
+        ]
+        for j in range(nt)
+    ]
+
+
+def _first_cuts(seq: tuple, nb: list[int], checks: list[list], alive: int):
+    """The first cuts of `seq` into len(checks) arcs, in the order of
+    itertools.combinations, that leave an alignment alive; returns the cuts
+    and the bit of the lowest alignment left, or None.
+
+    Arc j is seq[cuts[j]:cuts[j + 1]] and the last arc wraps round,
+    seq[cuts[-1]:] + seq[:cuts[0]].  Cuts are placed left to right; each arc
+    is tested against the earlier ones as soon as it is closed, and a branch
+    ends when no alignment survives its failed pairs.
+    """
+    size, nt = len(seq), len(checks)
+    # vm[s][e] and nm[s][e]: the vertices of seq[s:e] and their neighbours
+    vm, nm = [], []
+    for s in range(size):
+        row_v, row_n = [0] * (size + 1), [0] * (size + 1)
+        v = n = 0
+        for e in range(s + 1, size + 1):
+            v |= 1 << seq[e - 1]
+            n |= nb[seq[e - 1]]
+            row_v[e], row_n[e] = v, n
+        vm.append(row_v)
+        nm.append(row_n)
+    cuts = [0] * nt
+    arc = [0] * nt  # vertex mask of each closed arc
+
+    def place(j: int, alive: int) -> int:
+        # cuts[:j] are placed; cuts[j] closes arc j - 1
+        s = cuts[j - 1]
+        row_v, row_n, pairs = vm[s], nm[s], checks[j - 1]
+        for c in range(s + 1, size - nt + j + 1):
+            left = alive
+            reach = row_n[c]
+            for i, keep in pairs:
+                if not reach & arc[i]:
+                    left &= keep
+            if not left:
+                continue
+            arc[j - 1] = row_v[c]
+            cuts[j] = c
+            if j < nt - 1:
+                left = place(j + 1, left)
+            else:  # the wrap-around last arc closes too
+                reach = nm[c][size] | nm[0][cuts[0]]
+                for i, keep in checks[nt - 1]:
+                    if not reach & arc[i]:
+                        left &= keep
+            if left:
+                return left
+        return 0
+
+    for c0 in range(size - nt + 1):
+        cuts[0] = c0
+        left = place(1, alive)
+        if left:
+            return tuple(cuts), left & -left
+    return None
 
 
 def cyclic_minor_exists(g: Graph, target: Graph, guard_n: int = 14) -> CyclicMinorWitness | None:
@@ -214,50 +322,27 @@ def cyclic_minor_exists(g: Graph, target: Graph, guard_n: int = 14) -> CyclicMin
         if not alignments:
             return None  # target has no spanning cycle, so no cyclic model
 
-    target_edges = target.edges()
-
-    for size in range(nt, g.n + 1):
-        for subset in itertools.combinations(range(g.n), size):
-            sub, old_ids = induced_subgraph(g, subset)
-            if min(sub.degree(u) for u in range(sub.n)) < 2:
-                continue
-            if sub.edge_count - sub.n < surplus_needed:
-                continue
-            if not _connected(sub):
-                continue
-            for local_cycle in enumerate_hamiltonian_cycles(sub, guard_n=guard_n):
-                seq = tuple(old_ids[v] for v in local_cycle)
-                for cuts in itertools.combinations(range(size), nt):
-                    rotated, arcs = _arcs_for_cuts(seq, cuts)
-                    pair_ok = {}
-
-                    def ok(i, j):
-                        key = (i, j) if i < j else (j, i)
-                        if key not in pair_ok:
-                            pair_ok[key] = _arc_adjacent(g, arcs[key[0]], arcs[key[1]])
-                        return pair_ok[key]
-
-                    for aligned in alignments:
-                        pos = {vtx: i for i, vtx in enumerate(aligned)}
-                        if all(ok(pos[a], pos[b]) for a, b in target_edges):
-                            return CyclicMinorWitness(
-                                subset=subset, cycle=rotated, arcs=arcs, target_cycle=aligned
-                            )
+    checks = _pair_checks(target, alignments)
+    every_alignment = (1 << len(alignments)) - 1
+    nb = _neighbour_masks(g)
+    for subset, mask, edges, low in _subset_census(nb, range(nt, g.n + 1)):
+        if low < 2 or edges - len(subset) < surplus_needed or not _mask_connected(nb, mask):
+            continue
+        sub, old_ids = induced_subgraph(g, subset)
+        for local_cycle in enumerate_hamiltonian_cycles(sub, guard_n=guard_n):
+            seq = tuple(old_ids[v] for v in local_cycle)
+            found = _first_cuts(seq, nb, checks, every_alignment)
+            if found is not None:
+                cuts, first = found
+                rotated = seq[cuts[0]:] + seq[: cuts[0]]
+                bounds = [c - cuts[0] for c in cuts] + [len(seq)]
+                return CyclicMinorWitness(
+                    subset=subset,
+                    cycle=rotated,
+                    arcs=tuple(rotated[bounds[i]: bounds[i + 1]] for i in range(nt)),
+                    target_cycle=alignments[first.bit_length() - 1],
+                )
     return None
-
-
-def _connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in g.adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n
 
 
 # --- chord maxima and the degeneracy corollary ------------------------------
@@ -277,19 +362,18 @@ def max_chords_over_cycles(g: Graph, guard_n: int = 12) -> ChordMaximum | None:
     graph has a spanning cycle.  Returns None when g has no cycle at all.
     """
     _check_guard(g.n, guard_n, "vertex count")
-    candidates = []
-    for size in range(3, g.n + 1):
-        for subset in itertools.combinations(range(g.n), size):
-            sub, old_ids = induced_subgraph(g, subset)
-            bound = sub.edge_count - sub.n
-            if bound < 0 or min(sub.degree(u) for u in range(sub.n)) < 2:
-                continue  # a spanning cycle needs |E| >= |S| and min degree 2
-            candidates.append((bound, subset, sub, old_ids))
-    candidates.sort(key=lambda item: (-item[0], len(item[1]), item[1]))
-    for bound, subset, sub, old_ids in candidates:
+    # a spanning cycle needs |E| >= |S| and min degree 2; scored from masks,
+    # so only the candidates tried are built as graphs
+    candidates = sorted(
+        (len(subset) - edges, len(subset), subset)
+        for subset, _, edges, low in _subset_census(_neighbour_masks(g), range(3, g.n + 1))
+        if edges >= len(subset) and low >= 2
+    )
+    for negated_bound, _, subset in candidates:
+        sub, old_ids = induced_subgraph(g, subset)
         local = first_hamiltonian_cycle(sub, guard_n=guard_n)
         if local is not None:
-            return ChordMaximum(chords=bound, cycle=tuple(old_ids[v] for v in local))
+            return ChordMaximum(chords=-negated_bound, cycle=tuple(old_ids[v] for v in local))
     return None
 
 

@@ -27,6 +27,28 @@ def prism():
                      (0, 3), (1, 4), (2, 5)])
 
 
+def stacked_triangulation(n, seed):
+    """A planar 3-tree on n >= 3 vertices: start from a triangle, then put
+    each new vertex inside a random face and join it to the face's corners."""
+    rng = random.Random(seed)
+    edges = [(0, 1), (1, 2), (0, 2)]
+    faces = [(0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    return Graph(n, edges)
+
+
+def apex(g):
+    """g plus one vertex joined to every vertex of g.
+
+    Over a planar g this has no K6 minor: deleting the apex's branch set
+    would leave a K5 minor in a planar graph.
+    """
+    return Graph(g.n + 1, g.edges() + [(v, g.n) for v in range(g.n)])
+
+
 def figure_eight():
     """A 15-cycle plus complete bipartite chords between two 5-vertex windows."""
     edges = [(i, (i + 1) % 15) for i in range(15)]

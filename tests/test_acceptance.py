@@ -1,10 +1,11 @@
 """End-to-end acceptance suite.
 
-Nine criteria, each printing one "[acceptance] name: PASS/FAIL" line before
-asserting.  Random corpora are rebuilt deterministically from fixed seeds, and
-every comparison is exact (integer or rational).  Asymptotic growth-rate
-claims are out of reach at these instance sizes; what is checked here is the
-exact behavior of the certificates, contractions, models, and oracles.
+Nine criteria and an apex K6 refutation, each printing one
+"[acceptance] name: PASS/FAIL" line before asserting.  Random corpora are
+rebuilt deterministically from fixed seeds, and every comparison is exact
+(integer or rational).  Asymptotic growth-rate claims are out of reach at
+these instance sizes; what is checked here is the exact behavior of the
+certificates, contractions, models, and oracles.
 """
 
 import itertools
@@ -41,7 +42,16 @@ from chordcycles.oracle import (
     pell_candidates,
 )
 
-from helpers import complete, connected, cyc, icosahedron, prism, random_graph
+from helpers import (
+    apex,
+    complete,
+    connected,
+    cyc,
+    icosahedron,
+    prism,
+    random_graph,
+    stacked_triangulation,
+)
 
 CORPUS_KS = (2, 3, 4, 5, 6, 7, 8)
 CORPUS_SIZE = 200
@@ -189,6 +199,20 @@ def test_criterion_5_icosahedron_lower_bound(capsys, monkeypatch, report):
     out = capsys.readouterr().out
     ok = code == 2 and out == "no cyclic K5 minor (exhaustive)\n" and elapsed < 600
     report("icosahedron_lower_bound", ok, f"exit={code} t={elapsed:.0f}s")
+    assert ok
+
+
+def test_apex_k6_lower_bound(capsys, tmp_path, report):
+    """Criterion 5 one clique up: a planar graph plus an apex has no K6 minor,
+    and the oracle proves it for a cyclic one at n=11 from an edge-list file."""
+    path = tmp_path / "apex.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in apex(stacked_triangulation(10, 0)).edges()))
+    t0 = time.perf_counter()
+    code = cli.main(["certify", "--input", str(path), "--target", "K6", "--oracle"])
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out
+    ok = code == 2 and out == "no cyclic K6 minor (exhaustive)\n"
+    report("apex_k6_lower_bound", ok, f"exit={code} t={elapsed:.0f}s")
     assert ok
 
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chordcycles import Graph, SizeGuardExceeded, ValidationError, degeneracy, generate, oracle
+from chordcycles.graph import induced_subgraph
+from chordcycles.minors import kll_prime_graph
 from chordcycles.oracle import (
     brute_degeneracy,
     corollary_check,
@@ -20,7 +22,16 @@ from chordcycles.oracle import (
     rotation_levels,
 )
 
-from helpers import complete, cyc, icosahedron, petersen, prism, random_graph
+from helpers import (
+    complete,
+    connected,
+    cyc,
+    icosahedron,
+    petersen,
+    prism,
+    random_graph,
+    stacked_triangulation,
+)
 
 
 def graphs(max_n=8):
@@ -159,6 +170,135 @@ class TestCyclicMinor:
     def test_guard(self):
         with pytest.raises(SizeGuardExceeded):
             cyclic_minor_exists(complete(15), complete(3))
+
+
+def _reference_cyclic_minor_exists(g, target):
+    """The search as it was before cuts were placed by DFS: every combination
+    of cuts is built as tuples of arcs, then tested against every alignment
+    pair by pair."""
+    nt = target.n
+    if target.edge_count == nt * (nt - 1) // 2:
+        alignments = [tuple(range(nt))]
+    else:
+        alignments = []
+        for tc in enumerate_hamiltonian_cycles(target):
+            for base in (tc, (tc[0],) + tuple(reversed(tc[1:]))):
+                for r in range(nt):
+                    alignments.append(base[r:] + base[:r])
+        if not alignments:
+            return None
+    for size in range(nt, g.n + 1):
+        for subset in itertools.combinations(range(g.n), size):
+            sub, old_ids = induced_subgraph(g, subset)
+            if min(sub.degree(u) for u in range(sub.n)) < 2:
+                continue
+            if sub.edge_count - sub.n < target.edge_count - nt or not connected(sub):
+                continue
+            for local_cycle in enumerate_hamiltonian_cycles(sub):
+                seq = tuple(old_ids[v] for v in local_cycle)
+                for cuts in itertools.combinations(range(size), nt):
+                    rotated = seq[cuts[0]:] + seq[: cuts[0]]
+                    offsets = [c - cuts[0] for c in cuts] + [size]
+                    arcs = tuple(rotated[offsets[i]: offsets[i + 1]] for i in range(nt))
+                    for aligned in alignments:
+                        pos = {vtx: i for i, vtx in enumerate(aligned)}
+                        if all(
+                            any(y in g.adj[x] for x in arcs[pos[a]] for y in arcs[pos[b]])
+                            for a, b in target.edges()
+                        ):
+                            return oracle.CyclicMinorWitness(subset, rotated, arcs, aligned)
+    return None
+
+
+def _planted_k5(n, seed):
+    """An n-cycle cut into five arcs with one chord between each pair of arcs
+    that are not next to each other, relabelled at random: a cyclic K5 minor
+    by construction, hidden among the host's other cycles."""
+    rng = random.Random(seed)
+    bounds = [0] + sorted(rng.sample(range(1, n), 4)) + [n]
+    arcs = [range(bounds[i], bounds[i + 1]) for i in range(5)]
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(rng.choice(arcs[a]), rng.choice(arcs[b])) for a, b in ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4))]
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+MINOR_TARGETS = {
+    "K3": complete(3),
+    "K4": complete(4),
+    "K5": complete(5),
+    "K6": complete(6),
+    "Kll:2": kll_prime_graph(2)[0],
+    "Kll:3": kll_prime_graph(3)[0],
+}
+
+
+class TestCyclicMinorAgainstReference:
+    """The bitmask cut DFS against the combination-by-combination search it
+    replaced: the same first witness, or None on both sides."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_n=8))
+    def test_random_hosts(self, g):
+        for target in MINOR_TARGETS.values():
+            assert cyclic_minor_exists(g, target) == _reference_cyclic_minor_exists(g, target)
+
+    @pytest.mark.parametrize("n, seed", [(7, 0), (8, 1), (8, 2), (9, 3), (9, 4)])
+    def test_planted_k5(self, n, seed):
+        g = _planted_k5(n, seed)
+        for name in ("K5", "Kll:3"):
+            target = MINOR_TARGETS[name]
+            assert cyclic_minor_exists(g, target) == _reference_cyclic_minor_exists(g, target)
+        assert cyclic_minor_exists(g, complete(5)) is not None
+
+
+class TestObservability:
+    """The benchmark counts oracle.ham_enum_* and oracle.first_ham_* by
+    rebinding these module globals, so the searches must look them up
+    through the module, once per subset they search."""
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        seen = []
+        real = getattr(oracle, name)
+
+        def wrapper(g, **kwargs):
+            seen.append(g)
+            return real(g, **kwargs)
+
+        monkeypatch.setattr(oracle, name, wrapper)
+        return seen
+
+    def test_one_enumeration_per_surviving_subset(self, monkeypatch):
+        seen = self.counting(monkeypatch, "enumerate_hamiltonian_cycles")
+        g = stacked_triangulation(8, 0)  # planar, so every subset is searched
+        assert cyclic_minor_exists(g, complete(5)) is None
+        survivors = []
+        for size in range(5, g.n + 1):
+            for subset in itertools.combinations(range(g.n), size):
+                sub, _ = induced_subgraph(g, subset)
+                if (min(sub.degree(u) for u in range(size)) >= 2
+                        and sub.edge_count - size >= 5 and connected(sub)):
+                    survivors.append(sub)
+        assert survivors and seen == survivors
+
+    def test_one_first_cycle_per_candidate_tried(self, monkeypatch):
+        seen = self.counting(monkeypatch, "first_hamiltonian_cycle")
+        g = petersen()  # no Hamiltonian cycle, so candidates fail before one wins
+        found = max_chords_over_cycles(g)
+        candidates = []
+        for size in range(3, g.n + 1):
+            for subset in itertools.combinations(range(g.n), size):
+                sub, _ = induced_subgraph(g, subset)
+                if sub.edge_count >= size and min(sub.degree(u) for u in range(size)) >= 2:
+                    candidates.append((size - sub.edge_count, size, subset, sub))
+        candidates.sort(key=lambda c: c[:3])
+        tried = [sub for *_, sub in candidates[: len(seen)]]
+        assert len(seen) > 1 and seen == tried
+        assert first_hamiltonian_cycle(seen[-1]) is not None
+        assert all(first_hamiltonian_cycle(sub) is None for sub in seen[:-1])
+        assert found.chords == -candidates[len(seen) - 1][0]
 
 
 class TestChordMaximum:
