@@ -9,6 +9,7 @@ equal invocations produce identical bytes, randomness comes only from
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ from fractions import Fraction
 from itertools import chain
 
 from . import minors, oracle
-from .contraction import pipeline
+from .contraction import STAGE_LABELS, StageClaim, pipeline, verify_contraction
 from .errors import ClosureShortfall, GraphError, PreconditionError, ValidationError
 from .graph import (
     Graph,
@@ -229,6 +230,19 @@ def _model_json(model: minors.CyclicMinorModel, origin: str) -> dict:
     }
 
 
+def _rational(obj, what: str) -> Fraction:
+    """An exact rational written as format_rational writes it, or ValidationError."""
+    if isinstance(obj, str):
+        try:
+            value = Fraction(obj)
+        except (ValueError, ZeroDivisionError):
+            pass
+        else:
+            if format_rational(value) == obj:
+                return value
+    raise ValidationError(f"{what} must be a rational like '16/3', got {obj!r}")
+
+
 def _vertices(obj, what: str, g: Graph) -> tuple:
     """A JSON list of vertices of g, or ValidationError."""
     out = _ints(obj, what)
@@ -329,6 +343,24 @@ def _cmd_dense_cycle(args) -> int:
             f"high_degree_vertices={len(cert.high_degree)} chords={len(cert.chords)}",
         )
     return 0
+
+
+def _stage_from_json(obj: dict) -> StageClaim:
+    label = obj.get("label")
+    if label not in STAGE_LABELS:
+        raise ValidationError(f"unknown stage label {label!r}")
+    edges = obj.get("contracted_edges")
+    if not isinstance(edges, list):
+        raise ValidationError(f"{label} contracted_edges must be a list")
+    return StageClaim(
+        label=label,
+        graph=_graph_from_json(obj.get("graph")),
+        cycle=_ints(obj.get("cycle"), f"{label} cycle"),
+        active_classes=frozenset(_ints(obj.get("active_classes"), f"{label} active_classes")),
+        contracted_edges=frozenset(_ints(e, f"{label} contracted edge", 2) for e in edges),
+        min_degree=_ints([obj.get("min_degree")], f"{label} min_degree")[0],
+        avg_degree=_rational(obj.get("avg_degree"), f"{label} avg_degree"),
+    )
 
 
 def _stage_json(report) -> dict:
@@ -576,18 +608,18 @@ def _recertify(args, obj) -> int:
         _emit(args, f"cyclic {obj['target']} minor ok")
         return 0
     if kind == "contraction":
+        if obj.get("schema") != SCHEMA:
+            raise ValidationError(f"unknown contraction schema {obj.get('schema')!r}")
         g = _graph_from_json(obj.get("graph"))
         (k,) = _ints([obj.get("k")], "k")
+        n_a, n_b, m = _ints([obj.get("n_a"), obj.get("n_b"), obj.get("m")], "n_a, n_b, m")
         stages = obj.get("stages")
         if not isinstance(stages, list) or len(stages) != 3 or not all(
             isinstance(stage, dict) for stage in stages
         ):
             raise ValidationError("contraction needs a list of three stage objects")
-        cert = find_dense_cycle(g, k)
-        r0, r1, r2 = pipeline(g, cert)
-        for want, got in zip(stages, (r0, r1, r2)):
-            if _graph_from_json(want.get("graph")) != got.quotient:
-                raise ValidationError("contraction stages do not reproduce")
+        cycle = _ints(obj.get("certificate_cycle"), "certificate cycle")
+        verify_contraction(g, k, cycle, [_stage_from_json(s) for s in stages], n_a, n_b, m)
         _emit(args, f"contraction certificate ok: k={k}")
         return 0
     if kind == "active_paths":
@@ -721,6 +753,7 @@ def _add_common(sub, k_default=None, k_required=False):
         sub.add_argument("--k", type=int, default=k_default)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chordcycles",

@@ -4,7 +4,8 @@ Starting from a dense-cycle certificate, X0 contracts the passive edges, X1
 additionally merges each non-active class into its predecessor along the
 quotient cycle, and X2 is whichever of the two quotients has the larger exact
 average degree.  The punchline: G1 keeps minimum degree at least ceil((k+2)/2)
-and G2 keeps average degree at least 2(k+1)/3.
+and G2 keeps average degree at least 2(k+1)/3.  `verify_contraction` checks
+those claims as stated stages, without re-running any of the plans.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .graph import (
     check_cycle,
     chords_of_cycle,
     contract_edges,
+    cycle_edge_set,
     degree_stats,
     edge,
     induced_subgraph,
@@ -78,13 +80,7 @@ def passive_contraction(g: Graph, cert: DenseCycleCertificate) -> ContractionRep
             )
 
     m = len(active_classes)
-    n_a = n_b = 0
-    for a, b in chords_of_cycle(quotient, qcycle):
-        hits = (a in active_classes) + (b in active_classes)
-        if hits == 2:
-            n_a += 1
-        elif hits == 1:
-            n_b += 1
+    n_a, n_b = _chord_counts(quotient, qcycle, active_classes)
     if 2 * n_a + n_b < (cert.k - 2) * m:
         raise InternalInvariantError(
             f"chord count 2*{n_a}+{n_b} below the (k-2)m = {(cert.k - 2) * m} floor"
@@ -102,6 +98,15 @@ def passive_contraction(g: Graph, cert: DenseCycleCertificate) -> ContractionRep
         n_b=n_b,
         m=m,
     )
+
+
+def _chord_counts(quotient: Graph, qcycle, active_classes) -> tuple[int, int]:
+    """(n_a, n_b): the chords of the quotient cycle with both ends active,
+    and with exactly one."""
+    hits = [0, 0, 0]
+    for a, b in chords_of_cycle(quotient, qcycle):
+        hits[(a in active_classes) + (b in active_classes)] += 1
+    return hits[2], hits[1]
 
 
 def half_contraction(report0: ContractionReport) -> ContractionReport:
@@ -239,3 +244,101 @@ def pipeline(g: Graph, cert: DenseCycleCertificate):
     report1 = half_contraction(report0)
     report2 = choose_average_plan(report0, report1)
     return report0, report1, report2
+
+
+@dataclass(frozen=True)
+class StageClaim:
+    """One stage as a contraction artifact states it.
+
+    `contracted_edges` are edges of the certificate cycle in the ids of
+    `induced_subgraph(g, cycle)`, that is in sorted vertex order; `graph` is
+    the quotient they give, and `cycle` lists its classes in cycle order.
+    """
+
+    label: str
+    graph: Graph
+    cycle: tuple
+    active_classes: frozenset
+    contracted_edges: frozenset
+    min_degree: int
+    avg_degree: Fraction
+
+
+STAGE_LABELS = ("X0", "X1", "X2")
+
+
+def verify_contraction(g: Graph, k, cycle, stages, n_a, n_b, m) -> None:
+    """Check a contraction artifact's claims against the artifact alone.
+
+    Each stage must be the cyclic minor of the certificate cycle C that its
+    contracted cycle edges give, with the stated degrees; X0 must leave its
+    active classes uncontracted and recount to n_a, n_b and m; X1 must keep
+    min degree ceil((k+2)/2); and X2 must be X0 or X1 relabelled, averaging
+    at least 2(k+1)/3.  Two contractions of the subgraph induced on C do it
+    all, in O(|E(G[C])| + |C|).  Raises ValidationError on the first claim
+    that fails.
+    """
+    cycle = check_cycle(g, cycle)
+    if type(k) is not int or k < 2:
+        raise ValidationError(f"k must be an integer >= 2, got {k!r}")
+    if tuple(stage.label for stage in stages) != STAGE_LABELS:
+        raise ValidationError("contraction stages must be X0, X1, X2 in order")
+    x0, x1, x2 = stages
+
+    g0, old_ids = induced_subgraph(g, cycle)
+    relabel = {u: i for i, u in enumerate(old_ids)}
+    cycle0 = tuple(relabel[u] for u in cycle)
+    on_cycle = cycle_edge_set(cycle0)
+    plan0 = _verify_stage(g0, cycle0, on_cycle, x0)
+    plan1 = _verify_stage(g0, cycle0, on_cycle, x1)
+
+    active = x0.active_classes
+    if not all(0 <= c < x0.graph.n for c in active):
+        raise ValidationError("X0 active classes must be classes of X0")
+    for u, v in sorted(x0.contracted_edges):
+        if plan0.class_of[u] in active or plan0.class_of[v] in active:
+            raise ValidationError(f"X0 contracts ({u}, {v}), which touches an active class")
+    recount = (*_chord_counts(x0.graph, x0.cycle, active), len(active))
+    if (n_a, n_b, m) != recount:
+        raise ValidationError(
+            f"n_a, n_b, m are {n_a}, {n_b}, {m}; X0's chords give {recount[0]}, "
+            f"{recount[1]}, {recount[2]}"
+        )
+    if 2 * n_a + n_b < (k - 2) * m:
+        raise ValidationError(f"chord count 2*{n_a}+{n_b} below (k-2)m = {(k - 2) * m}")
+
+    # an X0 class maps into X1 through any of its members, say its arc's first
+    first = {cls: arc[0] for cls, arc in zip(x0.cycle, plan0.arcs)}
+    if x1.active_classes != frozenset(plan1.class_of[first[c]] for c in active):
+        raise ValidationError("X1 active classes are not the classes of X0's")
+    floor = (k + 3) // 2
+    if x1.min_degree < floor:
+        raise ValidationError(f"X1 min degree {x1.min_degree} below ceil((k+2)/2) = {floor}")
+
+    if replace(x2, label="X0") != x0 and replace(x2, label="X1") != x1:
+        raise ValidationError("X2 is neither X0 nor X1")
+    bound = Fraction(2 * (k + 1), 3)
+    if x2.avg_degree < bound:
+        raise ValidationError(f"X2 average degree {x2.avg_degree} below 2(k+1)/3 = {bound}")
+
+
+def _verify_stage(g0: Graph, cycle0: tuple, on_cycle, stage: StageClaim) -> ContractionPlan:
+    """Contract the stage's edges in G[C] and compare with what it states."""
+    for u, v in sorted(stage.contracted_edges):
+        if edge(u, v) not in on_cycle:
+            raise ValidationError(
+                f"{stage.label} contracts ({u}, {v}), not an edge of the certificate cycle"
+            )
+    quotient, plan = contract_edges(g0, stage.contracted_edges, cycle=cycle0)
+    if quotient != stage.graph:
+        raise ValidationError(f"{stage.label} graph is not the quotient by its contracted edges")
+    if stage.cycle != tuple(plan.class_of[arc[0]] for arc in plan.arcs):
+        raise ValidationError(f"{stage.label} cycle does not list its classes in cycle order")
+    check_cycle(quotient, stage.cycle)
+    stats = degree_stats(quotient)
+    if (stage.min_degree, stage.avg_degree) != (stats.min_degree, stats.avg_degree):
+        raise ValidationError(
+            f"{stage.label} states min degree {stage.min_degree} and average "
+            f"{stage.avg_degree}; its graph has {stats.min_degree} and {stats.avg_degree}"
+        )
+    return plan

@@ -1,6 +1,8 @@
-"""Small named graphs and corpus builders shared across the test modules."""
+"""Small named graphs, random corpora and an independent checker of
+contraction artifacts, shared across the test modules."""
 
 import random
+from fractions import Fraction
 
 from chordcycles import Graph, generate
 
@@ -92,3 +94,153 @@ def min_degree_corpus(k, count, n_max=200):
         g = generate("random_min_degree", {"n": n, "min_degree": k}, seed=seed)
         out.append((g, k, trial, seed))
     return out
+
+
+def contraction_claims_hold(obj):
+    """Whether a `contraction` artifact's claims hold, decided from its own
+    fields with nothing from the library: each stage is rebuilt from the
+    input edges with a separate union-find.  Malformed input is False.
+
+    It is meant as a second opinion on `certify`, so it is no stricter than
+    it has to be: a stage cycle may start at any class, and X2 need only
+    state the same stage as X0 or X1.
+    """
+    try:
+        return _contraction_claims_hold(obj)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+        return False
+
+
+def _is_int(x):
+    return type(x) is int
+
+
+def _contraction_claims_hold(obj):
+    k, n, cycle = obj["k"], obj["graph"]["n"], obj["certificate_cycle"]
+    if not (_is_int(k) and k >= 2 and _is_int(n)):
+        return False
+    adj = [set() for _ in range(max(n, 0))]
+    for u, v in obj["graph"]["edges"]:
+        if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n and u != v):
+            return False
+        adj[u].add(v)
+        adj[v].add(u)
+    t = len(cycle)
+    if t < 3 or not all(_is_int(u) and 0 <= u < n for u in cycle) or len(set(cycle)) != t:
+        return False
+    if any(cycle[i - 1] not in adj[u] for i, u in enumerate(cycle)):
+        return False
+    # the stages name C's vertices by rank, 0 for the smallest
+    rank = {u: i for i, u in enumerate(sorted(cycle))}
+    ring = [rank[u] for u in cycle]
+    ring_edges = {frozenset((ring[i - 1], ring[i])) for i in range(t)}
+    inner_edges = {frozenset((rank[u], rank[v])) for u in cycle for v in adj[u] if v in rank}
+
+    stages = obj["stages"]
+    if [stage["label"] for stage in stages] != ["X0", "X1", "X2"]:
+        return False
+    rebuilt = [_rebuilt_stage(stage, ring, ring_edges, inner_edges) for stage in stages]
+    if None in rebuilt:
+        return False
+    x0, x1, x2 = rebuilt
+
+    # X0: active classes are single uncontracted vertices, and the chords of
+    # its cycle between them recount to n_a, n_b and m
+    active = x0["active"]
+    if not all(len(x0["members"][c]) == 1 for c in active):
+        return False
+    hits = [0, 0, 0]
+    for e in x0["edges"]:
+        if e not in x0["cycle_edges"]:
+            hits[len(e & active)] += 1
+    counts = (obj["n_a"], obj["n_b"], obj["m"])
+    if not all(map(_is_int, counts)) or counts != (hits[2], hits[1], len(active)):
+        return False
+    if 2 * hits[2] + hits[1] < (k - 2) * len(active):
+        return False
+
+    # X1: the classes holding X0's active vertices, at min degree ceil((k+2)/2)
+    x1_class = {v: c for c, members in enumerate(x1["members"]) for v in members}
+    if x1["active"] != {x1_class[min(x0["members"][c])] for c in active}:
+        return False
+    if x1["min"] < -(-(k + 2) // 2):
+        return False
+
+    # X2: one of the two, averaging at least 2(k+1)/3
+    if x2["claim"] not in (x0["claim"], x1["claim"]):
+        return False
+    return 3 * x2["avg"] >= 2 * (k + 1)
+
+
+def _rebuilt_stage(stage, ring, ring_edges, inner_edges):
+    """One stage rebuilt from the input: its classes, quotient edges and
+    degrees, or None where that differs from what the stage states."""
+    t = len(ring)
+    parent = list(range(t))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    contracted = set()
+    for u, v in stage["contracted_edges"]:
+        e = frozenset((u, v))
+        if not (_is_int(u) and _is_int(v)) or e not in ring_edges:
+            return None
+        contracted.add(e)
+        a, b = root(u), root(v)
+        parent[max(a, b)] = min(a, b)
+    # classes are numbered by their smallest vertex, and each must be one
+    # run of C: walking C from a class boundary meets every class once
+    roots = sorted({root(x) for x in range(t)})
+    number = {r: i for i, r in enumerate(roots)}
+    members = [set() for _ in roots]
+    for x in range(t):
+        members[number[root(x)]].add(x)
+    walk = [number[root(x)] for x in ring]
+    start = next((i for i in range(t) if walk[i] != walk[i - 1]), 0)
+    walk = walk[start:] + walk[:start]
+    runs = [c for i, c in enumerate(walk) if i == 0 or c != walk[i - 1]]
+    size = len(runs)
+    if size != len(roots) or size < 3:
+        return None
+    if not any(stage["cycle"] == runs[i:] + runs[:i] for i in range(size)):
+        return None
+
+    edges = set()
+    for e in inner_edges:
+        a, b = (number[root(x)] for x in e)
+        if a != b:
+            edges.add(frozenset((a, b)))
+    graph = stage["graph"]
+    stated = set()
+    for u, v in graph["edges"]:
+        if not (_is_int(u) and _is_int(v)):
+            return None
+        stated.add(frozenset((u, v)))
+    if not _is_int(graph["n"]) or graph["n"] != size or stated != edges:
+        return None
+    degree = [0] * size
+    for e in edges:
+        for c in e:
+            degree[c] += 1
+    avg = Fraction(2 * len(edges), size)
+    if not _is_int(stage["min_degree"]) or stage["min_degree"] != min(degree):
+        return None
+    if stage["avg_degree"] != str(avg):
+        return None
+    active = stage["active_classes"]
+    if not all(_is_int(c) and 0 <= c < size for c in active):
+        return None
+    active = frozenset(active)
+    claim = (size, frozenset(edges), tuple(runs), active, frozenset(contracted), min(degree), avg)
+    return {
+        "members": members,
+        "edges": edges,
+        "cycle_edges": {frozenset((runs[i - 1], runs[i])) for i in range(size)},
+        "active": active,
+        "min": min(degree),
+        "avg": avg,
+        "claim": claim,
+    }

@@ -1,0 +1,129 @@
+"""Mutation fuzzer over `certify --input`.
+
+Real `contraction` and `dense_cycle` artifacts are mutated in one place:
+a field is dropped, a value takes another JSON type, an integer (most often
+a vertex id) moves by one, or two contraction stages swap.  Whatever comes
+of it, `certify` answers with exit 0, or with exit 1 and one `error:` line,
+and never lets an exception escape.  It may accept a contraction artifact
+only when the independent checker in `helpers` finds its claims hold.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chordcycles import cli
+
+from helpers import contraction_claims_hold
+
+SOURCES = {
+    "contraction": [
+        ["contract", "--family", "petersen", "--k", "3"],
+        ["contract", "--family", "cycle", "--params", "n=9", "--k", "2"],
+        # X0 contracts an edge here and X2 is X0; in the next, X2 is X1
+        ["contract", "--family", "random_min_degree", "--params", "n=14,min_degree=3,avg=3",
+         "--seed", "2", "--k", "3"],
+        ["contract", "--family", "random_min_degree", "--params", "n=18,min_degree=3,avg=3",
+         "--seed", "1", "--k", "3"],
+    ],
+    "dense_cycle": [
+        ["dense-cycle", "--family", "petersen", "--k", "3"],
+        ["dense-cycle", "--family", "complete", "--params", "n=6", "--k", "5"],
+        ["dense-cycle", "--family", "random_min_degree", "--params", "n=14,min_degree=3,avg=3",
+         "--seed", "2", "--k", "3"],
+    ],
+}
+
+OTHER_TYPES = [0, 5, -1, "", "0", "X1", [], [0, 1], [[0, 1]], None, {}, {"n": 0, "edges": []}]
+
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def artifacts():
+    texts = {}
+    for kind, commands in SOURCES.items():
+        texts[kind] = []
+        for argv in commands:
+            code, out, _ = call(argv + ["--format", "json"])
+            assert code == 0 and json.loads(out)["kind"] == kind
+            texts[kind].append(out)
+    return texts
+
+
+def _places(node, prefix=()):
+    """(path, value) for every value below `node` in a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,), child
+        yield from _places(child, prefix + (key,))
+
+
+def _holder(obj, path):
+    for key in path[:-1]:
+        obj = obj[key]
+    return obj
+
+
+@st.composite
+def mutants(draw, texts):
+    obj = json.loads(draw(st.sampled_from(texts)))
+    places = list(_places(obj))
+    ops = ["drop", "retype", "shift"] + (["swap"] if obj["kind"] == "contraction" else [])
+    op = draw(st.sampled_from(ops))
+    if op == "drop":
+        path = draw(st.sampled_from([p for p, _ in places if isinstance(p[-1], str)]))
+        del _holder(obj, path)[path[-1]]
+    elif op == "retype":
+        path = draw(st.sampled_from([p for p, _ in places]))
+        _holder(obj, path)[path[-1]] = draw(st.sampled_from(OTHER_TYPES))
+    elif op == "shift":
+        path = draw(st.sampled_from([p for p, v in places if type(v) is int]))
+        _holder(obj, path)[path[-1]] += draw(st.sampled_from([-1, 1]))
+    else:
+        i, j = draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+        stages = obj["stages"]
+        stages[i], stages[j] = stages[j], stages[i]
+    return obj
+
+
+def certify_mutant(tmp_path, obj):
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = call(["certify", "--input", str(path)])
+    assert code in (0, 1), (code, out, err)
+    if code == 1:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+    else:
+        assert err == "" and out.count("\n") == 1 and " ok" in out, out
+    return code
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=700, deadline=None)
+@given(data=st.data())
+def test_contraction_mutants(artifacts, workdir, data):
+    obj = data.draw(mutants(artifacts["contraction"]))
+    if certify_mutant(workdir, obj) == 0:
+        assert contraction_claims_hold(obj), "certify accepted a claim that does not hold"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_dense_cycle_mutants(artifacts, workdir, data):
+    certify_mutant(workdir, data.draw(mutants(artifacts["dense_cycle"])))

@@ -6,6 +6,8 @@ from chordcycles import cli, find_dense_cycle, generate
 from chordcycles.errors import ClosureShortfall
 from chordcycles.lollipop import ActiveClosure, WitnessPath
 
+from helpers import contraction_claims_hold, min_degree_corpus
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -400,3 +402,122 @@ class TestCliqueMinorRouting:
             "--target", "K5", "--k", "8",
         )
         assert code == 1
+
+
+class TestParserCache:
+    """The parser is built once per process; reusing it changes no output."""
+
+    CALLS = [
+        ["generate", "--family", "complete", "--params", "n=4", "--params", "n=5"],
+        ["generate", "--family", "petersen"],
+        ["active-paths", "--family", "complete", "--params", "n=5"],
+        ["experiment", "--params", "count=2,n_max=10"],
+        ["certify", "--family", "complete", "--params", "n=5", "--target", "K4", "--oracle"],
+        ["certify", "--family", "complete", "--params", "n=5", "--target", "K4"],
+        ["dense-cycle", "--family", "petersen"],
+        ["clique-minor", "--family", "petersen", "--target", "K4", "--oracle"],
+        ["clique-minor", "--family", "petersen", "--target", "K4"],
+        ["analyze", "--family", "petersen", "--k", "4", "--format", "json"],
+        ["analyze", "--family", "petersen"],
+    ]
+
+    def test_reused_parser_prints_what_a_fresh_one_does(self, capsys):
+        fresh = []
+        for argv in self.CALLS:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert fresh[6][0] == 1  # the usage error: dense-cycle needs --k
+        assert cli._build_parser() is cli._build_parser()
+        assert [run(capsys, *argv) for argv in self.CALLS] == fresh
+        assert [run(capsys, *argv) for argv in reversed(self.CALLS)] == fresh[::-1]
+
+
+TAMPER_HOST = [
+    "--family", "random_min_degree", "--params", "n=40,min_degree=5", "--seed", "3", "--k", "5",
+]
+
+
+def _set(stage, **fields):
+    return lambda obj: obj["stages"][stage].update(fields)
+
+
+# Each of these certified at exit 0 while certify re-ran the pipeline and
+# compared only the three stage graphs.
+CONTRACTION_TAMPERS = {
+    "n_a + 5": (lambda obj: obj.update(n_a=obj["n_a"] + 5), "n_a, n_b, m are"),
+    "certificate cycle cut to 3": (
+        lambda obj: obj.update(certificate_cycle=obj["certificate_cycle"][:3]),
+        "not an edge of the graph",
+    ),
+    "X0 contracts [0, 1]": (_set(0, contracted_edges=[[0, 1]]), "not an edge of the certificate cycle"),
+    "X1 cycle reversed": (
+        lambda obj: obj["stages"][1].update(cycle=obj["stages"][1]["cycle"][::-1]),
+        "X1 cycle does not list its classes in cycle order",
+    ),
+    "X0 active classes emptied": (_set(0, active_classes=[]), "X0's chords give 0, 0, 0"),
+    "X0 min degree 99": (_set(0, min_degree=99), "X0 states min degree 99"),
+    "X1 contracted edges null": (_set(1, contracted_edges=None), "X1 contracted_edges must be a list"),
+    "stage label X9": (_set(2, label="X9"), "unknown stage label 'X9'"),
+}
+
+
+@pytest.fixture(scope="module")
+def contraction_artifact(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contraction") / "c.json"
+    assert cli.main(["contract", *TAMPER_HOST, "--format", "json", "--out", str(path)]) == 0
+    return path.read_text()
+
+
+class TestContractionCertificate:
+    """`certify` checks a contraction artifact's claims from the artifact alone."""
+
+    def certify(self, capsys, path, obj):
+        path.write_text(json.dumps(obj))
+        return run(capsys, "certify", "--input", str(path))
+
+    @pytest.mark.parametrize("name", list(CONTRACTION_TAMPERS))
+    def test_tampered_artifact_rejected(self, tmp_path, capsys, contraction_artifact, name):
+        obj = json.loads(contraction_artifact)
+        tamper, fragment = CONTRACTION_TAMPERS[name]
+        tamper(obj)
+        code, out, err = self.certify(capsys, tmp_path / "t.json", obj)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert fragment in err
+        assert not contraction_claims_hold(obj)
+
+    def test_certify_reruns_nothing(self, tmp_path, capsys, monkeypatch, contraction_artifact):
+        def rerun(*args, **kwargs):
+            raise AssertionError("certify re-ran the contraction pipeline")
+
+        monkeypatch.setattr(cli, "find_dense_cycle", rerun)
+        monkeypatch.setattr(cli, "pipeline", rerun)
+        code, out, err = self.certify(capsys, tmp_path / "c.json", json.loads(contraction_artifact))
+        assert (code, out, err) == (0, "contraction certificate ok: k=5\n", "")
+
+    def test_every_emitted_artifact_certifies(self, tmp_path, capsys):
+        # ten acceptance-corpus hosts per k, then the two hosts whose X1 needs
+        # the successor pairing (pattern 1) and the floor-only pairing (pattern 2)
+        hosts = [
+            (f"n={g.n},min_degree={k}", seed, k)
+            for k in range(2, 9)
+            for g, _, _, seed in min_degree_corpus(k, 10)
+        ]
+        hosts += [("n=5,min_degree=3,avg=3", 979961074, 3), ("n=5,min_degree=3,avg=3", 406059994, 3)]
+        path = tmp_path / "c.json"
+        x1s = []
+        for params, seed, k in hosts:
+            argv = ["contract", "--family", "random_min_degree", "--params", params,
+                    "--seed", str(seed), "--k", str(k), "--format", "json", "--out", str(path)]
+            assert cli.main(argv) == 0, argv
+            obj = json.loads(path.read_text())
+            x0, x1, _ = obj["stages"]
+            if k == 2:
+                assert x1 == {**x0, "label": "X1"}
+            x1s.append(x1)
+            code, out, err = run(capsys, "certify", "--input", str(path))
+            assert (code, out, err) == (0, f"contraction certificate ok: k={k}\n", ""), argv
+            assert contraction_claims_hold(obj), argv
+        pattern1, pattern2 = x1s[-2:]
+        assert pattern1["contracted_edges"] == [[0, 2]]
+        assert pattern2["contracted_edges"] == [] and pattern2["graph"]["n"] == 5

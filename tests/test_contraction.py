@@ -1,17 +1,23 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from chordcycles import (
     InternalInvariantError,
+    StageClaim,
+    ValidationError,
     choose_average_plan,
+    contract_edges,
     degree_stats,
+    edge,
     find_dense_cycle,
     generate,
     half_contraction,
     passive_contraction,
     pipeline,
+    verify_contraction,
 )
 
 from helpers import complete, cyc, petersen
@@ -139,6 +145,86 @@ class TestFallbackPairings:
         ]
         assert r1.quotient == r0.quotient
         assert not r1.plan.contracted_edges
+
+
+def claim_of(report):
+    stats = degree_stats(report.quotient)
+    return StageClaim(
+        label=report.label,
+        graph=report.quotient,
+        cycle=report.quotient_cycle,
+        active_classes=report.active_classes,
+        contracted_edges=report.plan.contracted_edges,
+        min_degree=stats.min_degree,
+        avg_degree=stats.avg_degree,
+    )
+
+
+def first_edges_contracted(report0, count):
+    """X1 stated as the contraction of the first `count` edges of the
+    certificate cycle: a cyclic minor of C, whatever its degrees."""
+    ring = tuple(v for arc in report0.plan.arcs for v in arc)
+    edges = frozenset(edge(ring[i], ring[i + 1]) for i in range(count))
+    quotient, plan = contract_edges(report0.plan.host, edges, cycle=ring)
+    first = {cls: arc[0] for cls, arc in zip(report0.quotient_cycle, report0.plan.arcs)}
+    stats = degree_stats(quotient)
+    return StageClaim(
+        label="X1",
+        graph=quotient,
+        cycle=tuple(plan.class_of[arc[0]] for arc in plan.arcs),
+        active_classes=frozenset(plan.class_of[first[c]] for c in report0.active_classes),
+        contracted_edges=edges,
+        min_degree=stats.min_degree,
+        avg_degree=stats.avg_degree,
+    )
+
+
+def verified_stages(g, k):
+    """The certificate cycle and the X0, X1 reports of the pipeline on g,
+    once all three stages pass verify_contraction as the pipeline states them."""
+    cert = find_dense_cycle(g, k)
+    reports = pipeline(g, cert)
+    r0 = reports[0]
+    verify_contraction(g, k, cert.cycle, [claim_of(r) for r in reports], r0.n_a, r0.n_b, r0.m)
+    return cert.cycle, r0, reports[1]
+
+
+class TestVerifyContraction:
+    """Each bound is checked for the k the artifact states.  Every stage
+    below is a true cyclic minor of C, so only the bound named can fail."""
+
+    def test_chord_floor(self):
+        cycle, r0, r1 = verified_stages(petersen(), 3)
+        x0 = claim_of(r0)
+        stages = [x0, replace(x0, label="X1"), replace(x0, label="X2")]
+        with pytest.raises(ValidationError, match=r"chord count 2\*3\+0 below \(k-2\)m = 12"):
+            verify_contraction(petersen(), 4, cycle, stages, r0.n_a, r0.n_b, r0.m)
+
+    def test_x1_floor(self):
+        cycle, r0, r1 = verified_stages(petersen(), 3)
+        triangle = first_edges_contracted(r0, 6)
+        assert triangle.graph == cyc(3)
+        stages = [claim_of(r0), triangle, replace(claim_of(r0), label="X2")]
+        with pytest.raises(ValidationError, match=r"X1 min degree 2 below ceil\(\(k\+2\)/2\) = 3"):
+            verify_contraction(petersen(), 3, cycle, stages, r0.n_a, r0.n_b, r0.m)
+
+    def test_x2_is_x0_or_x1(self):
+        cycle, r0, r1 = verified_stages(petersen(), 3)
+        third = replace(first_edges_contracted(r0, 1), label="X2")
+        stages = [claim_of(r0), claim_of(r1), third]
+        with pytest.raises(ValidationError, match="X2 is neither X0 nor X1"):
+            verify_contraction(petersen(), 3, cycle, stages, r0.n_a, r0.n_b, r0.m)
+
+    def test_x2_average(self):
+        # K8's stages for k=4 meet k=7's chord floor too (2*15+5 >= 5*7), and
+        # contracting two cycle edges leaves K6: at k=7's floor of 5, but
+        # below 16/3 on average
+        cycle, r0, r1 = verified_stages(complete(8), 4)
+        k6 = first_edges_contracted(r0, 2)
+        assert k6.graph == complete(6)
+        stages = [claim_of(r0), k6, replace(k6, label="X2")]
+        with pytest.raises(ValidationError, match=r"X2 average degree 5 below 2\(k\+1\)/3 = 16/3"):
+            verify_contraction(complete(8), 7, cycle, stages, r0.n_a, r0.n_b, r0.m)
 
 
 @pytest.mark.xfail(
