@@ -45,6 +45,19 @@ class ContractionReport:
     n_b: int
     m: int
 
+    def claim(self) -> "StageClaim":
+        """The stage as a contraction artifact states it."""
+        stats = degree_stats(self.quotient)
+        return StageClaim(
+            label=self.label,
+            graph=self.quotient,
+            cycle=self.quotient_cycle,
+            active_classes=self.active_classes,
+            contracted_edges=self.plan.contracted_edges,
+            min_degree=stats.min_degree,
+            avg_degree=stats.avg_degree,
+        )
+
 
 def passive_contraction(g: Graph, cert: DenseCycleCertificate) -> ContractionReport:
     """Drop everything off the cycle, then contract the passive edges.

@@ -633,7 +633,7 @@ def find_dense_cycle(g: Graph, k: int) -> DenseCycleCertificate:
     Needs minimum degree >= k >= 2.  The improvement loop is bounded (see
     improve_until_closed); the emitted certificate carries at least k+1
     vertices with k neighbors on the cycle and hence at least (k+1)(k-2)/2
-    chords.
+    chords, which `verify_dense_cycle` checks before it is returned.
     """
     if k < 2:
         raise PreconditionError("need k >= 2")
@@ -641,34 +641,59 @@ def find_dense_cycle(g: Graph, k: int) -> DenseCycleCertificate:
         raise PreconditionError(f"need minimum degree >= k = {k}")
 
     closure, iterations = improve_until_closed(g, initial_lollipop(g), k)
-    verify_closure_lemmas(g, closure)
     cycle = closure.cycle
-    on_cycle = set(cycle)
-    anchor = cycle[0]
-
-    def cycle_degree(u):
-        return sum(1 for x in g.adj[u] if x in on_cycle)
-
     high = set(closure.active)
-    if cycle_degree(anchor) >= k:
-        high.add(anchor)
-    for u in high:
-        if cycle_degree(u) < k:
-            raise InternalInvariantError(f"vertex {u} has cycle degree below k")
-    if len(high) < k + 1:
-        raise InternalInvariantError(
-            f"only {len(high)} high-degree vertices, need {k + 1}"
-        )
-    chords = chords_of_cycle(g, cycle)
-    if 2 * len(chords) < (k + 1) * (k - 2):
-        raise InternalInvariantError(
-            f"{len(chords)} chords fall short of the (k+1)(k-2)/2 bound"
-        )
-    return DenseCycleCertificate(
+    if _cycle_degree(g, cycle[0], set(cycle)) >= k:
+        high.add(cycle[0])
+    cert = DenseCycleCertificate(
         k=k,
         cycle=cycle,
         high_degree=tuple(sorted(high)),
-        chords=chords,
+        chords=chords_of_cycle(g, cycle),
         closure=closure,
         iterations=iterations,
     )
+    verify_dense_cycle(g, cert)
+    return cert
+
+
+def _cycle_degree(g: Graph, u, on_cycle) -> int:
+    return sum(1 for x in g.adj[u] if x in on_cycle)
+
+
+def verify_dense_cycle(g: Graph, cert: DenseCycleCertificate) -> None:
+    """Check a dense-cycle certificate's claims on g.
+
+    With C the certificate's cycle: k is an integer of at least 2; the
+    closure passes `verify_closure_lemmas` on C itself; `high_degree` lists
+    at least k+1 vertices of C, none twice, each with at least k neighbors
+    on C; and `chords` lists the chords of C as `chords_of_cycle` does, at
+    least (k+1)(k-2)/2 of them.  Raises ValidationError on the first claim
+    that fails, or InternalInvariantError from the audit.
+    """
+    k, cycle, high = cert.k, cert.cycle, cert.high_degree
+    if type(k) is not int or k < 2:
+        raise ValidationError(f"k must be an integer >= 2, got {k!r}")
+    if cert.closure.cycle != cycle:
+        raise ValidationError("certificate cycle differs from closure cycle")
+    verify_closure_lemmas(g, cert.closure)
+    on_cycle = set(cycle)
+    for v in high:
+        if not 0 <= v < g.n:
+            raise ValidationError(f"high-degree vertex {v} outside 0..{g.n - 1}")
+        if v not in on_cycle:
+            raise ValidationError(f"high-degree vertex {v} is not on the cycle")
+        d = _cycle_degree(g, v, on_cycle)
+        if d < k:
+            raise ValidationError(f"vertex {v} has cycle degree {d} < {k}")
+    distinct = len(set(high))
+    if distinct < k + 1:
+        raise ValidationError(f"too few high-degree vertices: {distinct} < {k + 1}")
+    if distinct != len(high):
+        raise ValidationError("high_degree lists a vertex twice")
+    if cert.chords != chords_of_cycle(g, cycle):
+        raise ValidationError("chord list does not match the graph")
+    if 2 * len(cert.chords) < (k + 1) * (k - 2):
+        raise ValidationError(
+            f"{len(cert.chords)} chords fall short of the (k+1)(k-2)/2 bound"
+        )

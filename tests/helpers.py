@@ -1,5 +1,5 @@
-"""Small named graphs, random corpora and an independent checker of
-contraction artifacts, shared across the test modules."""
+"""Small named graphs, random corpora and independent checkers of
+contraction and dense-cycle artifacts, shared across the test modules."""
 
 import random
 from fractions import Fraction
@@ -111,29 +111,72 @@ def contraction_claims_hold(obj):
         return False
 
 
+def dense_cycle_claims_hold(obj):
+    """Whether a `dense_cycle` artifact's Theorem 1 claim holds, decided from
+    its own fields with nothing from the library: `cycle` is a cycle of
+    `graph`, `high_degree` names at least k+1 of its vertices, each with at
+    least k neighbours on it, and `chords` are exactly its chords, at least
+    (k+1)(k-2)/2 of them, for an integer k >= 2.  The closure, which shows
+    how the cycle was found, is not checked.  Malformed input is False.
+    """
+    try:
+        return _dense_cycle_claims_hold(obj)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+        return False
+
+
 def _is_int(x):
     return type(x) is int
 
 
-def _contraction_claims_hold(obj):
-    k, n, cycle = obj["k"], obj["graph"]["n"], obj["certificate_cycle"]
-    if not (_is_int(k) and k >= 2 and _is_int(n)):
-        return False
+def _adjacency(graph):
+    """Neighbour sets of a JSON graph, or None when it is not one."""
+    n = graph["n"]
+    if not _is_int(n):
+        return None
     adj = [set() for _ in range(max(n, 0))]
-    for u, v in obj["graph"]["edges"]:
+    for u, v in graph["edges"]:
         if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n and u != v):
-            return False
+            return None
         adj[u].add(v)
         adj[v].add(u)
+    return adj
+
+
+def _is_cycle(adj, cycle):
     t = len(cycle)
-    if t < 3 or not all(_is_int(u) and 0 <= u < n for u in cycle) or len(set(cycle)) != t:
+    if t < 3 or not all(_is_int(u) and 0 <= u < len(adj) for u in cycle) or len(set(cycle)) != t:
         return False
-    if any(cycle[i - 1] not in adj[u] for i, u in enumerate(cycle)):
+    return all(cycle[i - 1] in adj[u] for i, u in enumerate(cycle))
+
+
+def _dense_cycle_claims_hold(obj):
+    k, cycle, high, chords = obj["k"], obj["cycle"], obj["high_degree"], obj["chords"]
+    adj = _adjacency(obj["graph"])
+    if not (_is_int(k) and k >= 2) or adj is None or not _is_cycle(adj, cycle):
+        return False
+    on_cycle = set(cycle)
+    if not all(_is_int(v) and v in on_cycle and len(adj[v] & on_cycle) >= k for v in high):
+        return False
+    if len(set(high)) < k + 1:
+        return False
+    ring = {frozenset((cycle[i - 1], u)) for i, u in enumerate(cycle)}
+    actual = {frozenset((u, v)) for u in cycle for v in adj[u] if v in on_cycle} - ring
+    if not all(len(c) == 2 and _is_int(c[0]) and _is_int(c[1]) for c in chords):
+        return False
+    stated = {frozenset(c) for c in chords}
+    return stated == actual and len(chords) == len(actual) and 2 * len(actual) >= (k + 1) * (k - 2)
+
+
+def _contraction_claims_hold(obj):
+    k, cycle = obj["k"], obj["certificate_cycle"]
+    adj = _adjacency(obj["graph"])
+    if not (_is_int(k) and k >= 2) or adj is None or not _is_cycle(adj, cycle):
         return False
     # the stages name C's vertices by rank, 0 for the smallest
     rank = {u: i for i, u in enumerate(sorted(cycle))}
     ring = [rank[u] for u in cycle]
-    ring_edges = {frozenset((ring[i - 1], ring[i])) for i in range(t)}
+    ring_edges = {frozenset((ring[i - 1], ring[i])) for i in range(len(ring))}
     inner_edges = {frozenset((rank[u], rank[v])) for u in cycle for v in adj[u] if v in rank}
 
     stages = obj["stages"]

@@ -1,11 +1,12 @@
 """Mutation fuzzer over `certify --input`.
 
-Real `contraction` and `dense_cycle` artifacts are mutated in one place:
-a field is dropped, a value takes another JSON type, an integer (most often
-a vertex id) moves by one, or two contraction stages swap.  Whatever comes
-of it, `certify` answers with exit 0, or with exit 1 and one `error:` line,
-and never lets an exception escape.  It may accept a contraction artifact
-only when the independent checker in `helpers` finds its claims hold.
+Real artifacts of every certifiable kind are mutated in one place: a field
+is dropped, a value takes another JSON type, an integer (most often a vertex
+id) moves by one, or two contraction stages swap.  Whatever comes of it,
+`certify` answers with exit 0, or with exit 1 and one `error:` line, or, for
+a model that does not realize its target, with exit 2, and never lets an
+exception escape.  It may accept a contraction or dense-cycle artifact only
+when the independent checkers in `helpers` find its claims hold.
 """
 
 import io
@@ -15,9 +16,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chordcycles import cli
+from chordcycles import artifacts, cli
 
-from helpers import contraction_claims_hold
+from helpers import contraction_claims_hold, dense_cycle_claims_hold
 
 SOURCES = {
     "contraction": [
@@ -35,6 +36,23 @@ SOURCES = {
         ["dense-cycle", "--family", "random_min_degree", "--params", "n=14,min_degree=3,avg=3",
          "--seed", "2", "--k", "3"],
     ],
+    "cyclic_minor": [
+        ["clique-minor", "--family", "petersen", "--target", "K4"],
+        ["clique-minor", "--family", "complete", "--params", "n=7", "--target", "K5"],
+        ["certify", "--family", "complete", "--params", "n=5", "--target", "K4", "--oracle"],
+    ],
+    "census": [
+        ["active-paths", "--family", "complete", "--params", "n=5", "--full"],
+        ["active-paths", "--family", "petersen", "--full"],
+    ],
+    "closure": [
+        ["active-paths", "--family", "petersen", "--k", "3"],
+        ["active-paths", "--family", "complete", "--params", "n=6"],
+    ],
+    "graph": [
+        ["generate", "--family", "petersen"],
+        ["generate", "--family", "cycle", "--params", "n=4"],
+    ],
 }
 
 OTHER_TYPES = [0, 5, -1, "", "0", "X1", [], [0, 1], [[0, 1]], None, {}, {"n": 0, "edges": []}]
@@ -48,13 +66,13 @@ def call(argv):
 
 
 @pytest.fixture(scope="module")
-def artifacts():
+def emitted():
     texts = {}
     for kind, commands in SOURCES.items():
         texts[kind] = []
         for argv in commands:
             code, out, _ = call(argv + ["--format", "json"])
-            assert code == 0 and json.loads(out)["kind"] == kind
+            assert code == 0 and artifacts.load(json.loads(out))[0] == kind
             texts[kind].append(out)
     return texts
 
@@ -102,9 +120,11 @@ def certify_mutant(tmp_path, obj):
     path = tmp_path / "mutant.json"
     path.write_text(json.dumps(obj))
     code, out, err = call(["certify", "--input", str(path)])
-    assert code in (0, 1), (code, out, err)
+    assert code in (0, 1, 2), (code, out, err)
     if code == 1:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+    elif code == 2:
+        assert obj["kind"] == "cyclic_minor" and (out, err) == ("model does not verify\n", "")
     else:
         assert err == "" and out.count("\n") == 1 and " ok" in out, out
     return code
@@ -117,13 +137,22 @@ def workdir(tmp_path_factory):
 
 @settings(max_examples=700, deadline=None)
 @given(data=st.data())
-def test_contraction_mutants(artifacts, workdir, data):
-    obj = data.draw(mutants(artifacts["contraction"]))
+def test_contraction_mutants(emitted, workdir, data):
+    obj = data.draw(mutants(emitted["contraction"]))
     if certify_mutant(workdir, obj) == 0:
         assert contraction_claims_hold(obj), "certify accepted a claim that does not hold"
 
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
-def test_dense_cycle_mutants(artifacts, workdir, data):
-    certify_mutant(workdir, data.draw(mutants(artifacts["dense_cycle"])))
+def test_dense_cycle_mutants(emitted, workdir, data):
+    obj = data.draw(mutants(emitted["dense_cycle"]))
+    if certify_mutant(workdir, obj) == 0:
+        assert dense_cycle_claims_hold(obj), "certify accepted a claim that does not hold"
+
+
+@pytest.mark.parametrize("kind", ["cyclic_minor", "census", "closure", "graph"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_other_mutants(emitted, workdir, kind, data):
+    certify_mutant(workdir, data.draw(mutants(emitted[kind])))

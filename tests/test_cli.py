@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chordcycles import cli, find_dense_cycle, generate
+from chordcycles import artifacts, cli, find_dense_cycle, generate
 from chordcycles.errors import ClosureShortfall
 from chordcycles.lollipop import ActiveClosure, WitnessPath
 
@@ -149,6 +149,44 @@ class TestDeterminism:
         assert all(r["ok"] for r in obj["rows"])
 
 
+DENSE = ["dense-cycle", "--family", "petersen", "--k", "3"]
+CLOSURE = ["active-paths", "--family", "petersen", "--k", "3"]
+CENSUS = ["active-paths", "--family", "complete", "--params", "n=6", "--full"]
+MINOR = ["clique-minor", "--family", "petersen", "--target", "K4"]
+
+# Each of these certified at exit 0 while certify left the field unread or
+# only partly read.
+UNREAD_FIELD_TAMPERS = {
+    # vertex 0 is off Petersen's certificate cycle, but its neighbours 1, 4, 5 are on it
+    "off-cycle high-degree vertex": (
+        DENSE, lambda obj: obj.update(high_degree=[0] + obj["high_degree"][1:]),
+        "high-degree vertex 0 is not on the cycle",
+    ),
+    "repeated high-degree vertex": (
+        DENSE, lambda obj: obj["high_degree"].append(obj["high_degree"][-1]),
+        "high_degree lists a vertex twice",
+    ),
+    "iterations many": (DENSE, lambda obj: obj.update(iterations="many"), "non-integer 'many'"),
+    "iterations -1": (DENSE, lambda obj: obj.update(iterations=-1), "iterations must be at least 0"),
+    "closure k 99": (CLOSURE, lambda obj: obj.update(k=99), "k = 99 needs 100"),
+    "closure k x": (CLOSURE, lambda obj: obj.update(k="x"), "k holds a non-integer 'x'"),
+    "census non_active rewritten": (
+        CENSUS, lambda obj: obj["non_active"].pop(), "census does not reproduce",
+    ),
+    "census full yes": (CENSUS, lambda obj: obj.update(full="yes"), "full must be true or false"),
+    "census schema 7": (CENSUS, lambda obj: obj.update(schema="7"), "unknown active_paths schema '7'"),
+    "minor verified false": (
+        MINOR, lambda obj: obj.update(verified=False), "verified must be true, got False",
+    ),
+    "minor origin 7": (MINOR, lambda obj: obj.update(origin=7), "unknown model origin 7"),
+    "minor schema 7": (MINOR, lambda obj: obj.update(schema="7"), "unknown cyclic_minor schema '7'"),
+    "graph schema 7": (
+        ["generate", "--family", "petersen"], lambda obj: obj.update(schema="7"),
+        "unknown graph schema '7'",
+    ),
+}
+
+
 class TestRoundTrip:
     def emit(self, tmp_path, name, argv):
         path = tmp_path / name
@@ -196,7 +234,7 @@ class TestRoundTrip:
         # Schema "1" stored each witness's full sequence and its seed path.
         g = generate("petersen")
         cert = find_dense_cycle(g, 3)
-        obj = cli._dense_cycle_json(g, cert)
+        obj = artifacts.dump_dense_cycle(g, cert)
         obj["schema"] = "1"
         obj["closure"]["witnesses"] = {
             str(v): {
@@ -264,6 +302,13 @@ class TestRoundTrip:
         else:
             obj["high_degree"] = obj["high_degree"][1:] + [-1]
         self.rejected(capsys, path, obj, fragment)
+
+    @pytest.mark.parametrize("name", list(UNREAD_FIELD_TAMPERS))
+    def test_every_field_is_read(self, tmp_path, capsys, name):
+        argv, tamper, fragment = UNREAD_FIELD_TAMPERS[name]
+        obj = json.loads(self.emit(tmp_path, "a.json", argv).read_text())
+        tamper(obj)
+        self.rejected(capsys, tmp_path / "a.json", obj, fragment)
 
     def test_minor_target_bound_to_its_graph(self, tmp_path, capsys):
         path = self.emit(tmp_path, "k3.json", [

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from chordcycles import (
     replay,
     rotate,
     verify_closure_lemmas,
+    verify_dense_cycle,
 )
 from chordcycles.lollipop import (
     SEEDS,
@@ -241,6 +243,21 @@ class TestFindDenseCycle:
             assert g.has_edge(u, v)
             assert (u, v) not in edges_on_cycle
         assert list(cert.chords) == list(chords_of_cycle(g, cert.cycle))
+
+    @pytest.mark.parametrize("change, fragment", [
+        ({"k": 1}, "k must be an integer >= 2"),
+        ({"k": 4}, "cycle degree 3 < 4"),
+        ({"cycle": (2, 3, 4, 9, 7, 5, 8, 6, 1)}, "differs from closure cycle"),
+        ({"high_degree": (0, 3, 6, 7, 8, 9)}, "vertex 0 is not on the cycle"),
+        ({"high_degree": (2, 3, 6)}, "too few high-degree vertices: 3 < 4"),
+        ({"chords": ((6, 9), (3, 8), (2, 7))}, "chord list does not match"),
+    ])
+    def test_verify_dense_cycle_rejects(self, change, fragment):
+        g = petersen()
+        cert = find_dense_cycle(g, 3)
+        verify_dense_cycle(g, cert)
+        with pytest.raises(ValidationError, match=fragment):
+            verify_dense_cycle(g, replace(cert, **change))
 
 
 class TestClosureLemmas:
