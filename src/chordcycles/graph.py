@@ -74,10 +74,9 @@ def parse_edge_list(text) -> Graph:
     edges = []
     top = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"expected 'u v' at line {lineno}: {raw.strip()!r}")
         try:
@@ -89,7 +88,10 @@ def parse_edge_list(text) -> Graph:
         if u == v:
             raise ValidationError(f"loop at line {lineno}")
         edges.append((u, v))
-        top = max(top, u, v)
+        if u > top:
+            top = u
+        if v > top:
+            top = v
     return Graph(top + 1, edges)
 
 

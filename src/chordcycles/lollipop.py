@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .errors import (
     ClosureShortfall,
@@ -37,10 +38,11 @@ SEEDS = ("forward", "backward")
 def seed_path(cycle, orientation) -> tuple:
     """The spanning path a seed orientation names: "forward" runs
     c_1, c_2, ..., c_t and "backward" runs c_1, c_t, ..., c_2."""
+    cycle = tuple(cycle)
     if orientation == "forward":
-        return tuple(cycle)
+        return cycle
     if orientation == "backward":
-        return (cycle[0],) + tuple(reversed(cycle[1:]))
+        return cycle[:1] + cycle[:0:-1]
     raise ValidationError(f"unknown seed orientation {orientation!r}")
 
 
@@ -70,10 +72,13 @@ def _cycle_slot(p, t, forward, flips) -> int:
 
 
 def _materialise(cycle, orientation, flips) -> tuple:
-    seq = list(seed_path(cycle, orientation))
-    for i in flips:
-        seq[i + 1:] = seq[:i:-1]
-    return tuple(seq)
+    seq = seed_path(cycle, orientation)
+    if flips:
+        seq = list(seq)
+        for i in flips:
+            seq[i + 1:] = seq[:i:-1]
+        seq = tuple(seq)
+    return seq
 
 
 def _replay_steps(cycle, index, orientation, derivation, flips):
@@ -282,27 +287,28 @@ def maximal_path_extend(g: Graph, p) -> tuple:
     neighbor id.  Head growth only ever consumes vertices, so one pass per end
     leaves both ends saturated.
     """
-    return _grow(g, check_path(g, p))
+    p = check_path(g, p)
+    head, tail = _grow(g, p, set(p))
+    return tuple(reversed(head)) + p + tuple(tail)
 
 
-def _grow(g: Graph, p: tuple) -> tuple:
-    # maximal_path_extend on a path already known to be a path of g
-    on_path = set(p)
-    tail = list(p)
+def _grow(g: Graph, p: tuple, on_path: set) -> tuple:
+    """maximal_path_extend on a path already known to be a path of g, whose
+    vertices on_path holds.  Returns the lists of vertices grown at the head
+    (nearest first) and at the tail, and adds them to on_path."""
+    tail = _walk(g, p[-1], on_path)
+    return _walk(g, p[0], on_path), tail
+
+
+def _walk(g: Graph, end, on_path: set) -> list:
+    # step to the smallest neighbor off the path until there is none
+    walked = []
     while True:
-        outside = [v for v in sorted(g.adj[tail[-1]]) if v not in on_path]
-        if not outside:
-            break
-        tail.append(outside[0])
-        on_path.add(outside[0])
-    head = deque(tail)
-    while True:
-        outside = [v for v in sorted(g.adj[head[0]]) if v not in on_path]
-        if not outside:
-            break
-        head.appendleft(outside[0])
-        on_path.add(outside[0])
-    return tuple(head)
+        end = min((v for v in g.adj[end] if v not in on_path), default=None)
+        if end is None:
+            return walked
+        walked.append(end)
+        on_path.add(end)
 
 
 def lollipop_from_path(g: Graph, p) -> Lollipop:
@@ -313,11 +319,13 @@ def lollipop_from_path(g: Graph, p) -> Lollipop:
     predecessor cannot close anything; then the other end is tried.
     """
     p = tuple(p)
-    for candidate in (p, tuple(reversed(p))):
-        tail = candidate[-1]
-        for i in range(len(candidate) - 2):
-            if candidate[i] in g.adj[tail]:
-                return Lollipop(path=candidate[: i + 1], cycle=candidate[i:])
+    for reverse in (False, True):
+        candidate = p[::-1] if reverse else p
+        # the first vertex short of the tail's predecessor that sees the tail
+        sees_tail = map(g.adj[candidate[-1]].__contains__, candidate)
+        i = next(compress(range(len(candidate) - 2), sees_tail), None)
+        if i is not None:
+            return Lollipop(path=candidate[: i + 1], cycle=candidate[i:])
     raise PreconditionError("neither end of the path closes a cycle of length >= 3")
 
 
@@ -376,6 +384,109 @@ def replay(seed, derivation) -> tuple:
     return seq
 
 
+# --- the improvement loop's lollipop ----------------------------------------
+
+class _LiveLollipop:
+    """The lollipop the improvement loop works on, with the sets it keeps
+    from one closure to the next: `members`, every vertex of the lollipop
+    (its size is the vertex count the loop's progress check reads), and
+    `on_cycle`, the vertices of the cycle.
+
+    An improvement changes it in place and touches only the vertices that
+    change: those added, and the old and new path.
+
+    `index` is the cycle's position index, built when a closure first pops
+    its worklist and then kept: it maps each cycle vertex to a key, and the
+    vertex's position is (key - base) * sign.  An improvement moves runs of
+    the old cycle whole, each by a shift and perhaps a reflection, so it
+    keeps the keys of the witness's longest such run by moving base and
+    sign, and rewrites only the other positions.
+    """
+
+    __slots__ = ("path", "cycle", "members", "on_cycle", "index", "base", "sign")
+
+    def __init__(self, l: Lollipop):
+        self.path, self.cycle = tuple(l.path), tuple(l.cycle)
+        self.on_cycle = set(self.cycle)
+        self.members = self.on_cycle.union(self.path)
+        self.index, self.base, self.sign = None, 0, 1
+
+    def keyed_index(self) -> tuple:
+        """(index, base, sign), building the index if there is none."""
+        if self.index is None:
+            self._build_index()
+        return self.index, self.base, self.sign
+
+    def plain_index(self) -> dict:
+        """The index with base 0 and sign 1, whose keys are the positions."""
+        if self.index is None or self.base != 0 or self.sign != 1:
+            self._build_index()
+        return self.index
+
+    def _build_index(self):
+        self.index, self.base, self.sign = dict(zip(self.cycle, range(len(self.cycle)))), 0, 1
+
+    def improve(self, g: Graph, wp: WitnessPath, x) -> Improvement:
+        """Switch to the lollipop that the witness wp and x, a neighbor of
+        its end off the cycle, give."""
+        old_path, t = self.path, len(self.cycle)
+        if x in self.members:
+            # x lies on the path; route the path's tail through the witness
+            j = old_path.index(x)
+            self.on_cycle.update(old_path[j:])
+            self.path, self.cycle = old_path[: j + 1], old_path[j:] + wp.sequence[1:]
+            offset = len(old_path) - 1 - j
+            reason = "longer_cycle"
+        else:
+            # x is a fresh vertex: straighten the lollipop into a path,
+            # append x, grow maximally, and close a cycle again; the engine
+            # built the path, so it is not checked again
+            p = old_path[:-1] + wp.sequence + (x,)
+            self.members.add(x)
+            head, tail = _grow(g, p, self.members)
+            grown = tuple(reversed(head)) + p + tuple(tail)
+            l = lollipop_from_path(g, grown)
+            self.on_cycle.update(old_path, (x,), head, tail)
+            self.on_cycle.difference_update(l.path[:-1])
+            self.path, self.cycle = l.path, l.cycle
+            # the cycle is grown's tail from where l.path ends, unless it
+            # closed at the head, which only a tail of degree 1 forces
+            offset = len(head) + len(old_path) - len(l.path) if l.cycle[-1] == grown[-1] else None
+            reason = "larger_vertex_set"
+        if offset is None:
+            self.index = None
+        elif self.index is not None:
+            self._reindex(wp, t, offset)
+        return Improvement(Lollipop(path=self.path, cycle=self.cycle), reason=reason)
+
+    def _reindex(self, wp: WitnessPath, t: int, offset: int):
+        # The witness's m-th vertex now sits at position offset + m, or on
+        # the path if that is negative.  Split its path where it leaves the
+        # old cycle order: at 1 for the backward seed, and after each pivot,
+        # whose flip also moves the later splits.
+        forward, flips = wp.orientation == "forward", wp.flips
+        splits = set() if forward else {1}
+        for i in flips:
+            splits = {t + i + 1 - b if b > i + 1 else b for b in splits}
+            splits.add(i + 1)
+        bounds = sorted(splits | {0, t})
+        m0, m1 = max(zip(bounds, bounds[1:]), key=lambda run: run[1] - run[0])
+        q0 = _cycle_slot(m0, t, forward, flips)
+        turn = _cycle_slot(m0 + 1, t, forward, flips) - q0 if m1 - m0 > 1 else 1
+
+        # keep the keys of the longest run, whose m-th vertex had position
+        # q0 + turn * (m - m0) and now has offset + m, and rewrite the rest
+        sign = self.sign * turn
+        base = self.base + self.sign * (q0 - turn * m0) - sign * offset
+        cycle, index = self.cycle, self.index
+        lo, hi = max(0, offset + m0), max(0, offset + m1)
+        for a, b in ((0, lo), (hi, len(cycle))):
+            index.update(zip(cycle[a:b], range(base + sign * a, base + sign * b, sign)))
+        for v in wp.sequence[: max(0, -offset)]:
+            del index[v]
+        self.base, self.sign = base, sign
+
+
 # --- the pruned closure -----------------------------------------------------
 
 def required_active_count(g: Graph, cycle, k: int) -> int:
@@ -399,16 +510,19 @@ def active_closure(g: Graph, l: Lollipop, k: int, *, validate: bool = True):
     Witnesses are implicit (see WitnessPath): a pop costs O(degree * depth),
     not O(t).  validate=False skips re-checking a lollipop that the
     improvement loop built itself; the final closure is audited anyway.
+    The improvement loop passes its `_LiveLollipop` as l: the closure reads
+    the sets and the cycle index it keeps, builds that index only when the
+    worklist first pops, and advances it in place to the improvement.
 
     At fixpoint the closure must hold at least required_active_count vertices;
     a shortfall raises ClosureShortfall carrying the closure for diagnosis.
     """
     if validate:
         validate_lollipop(g, l)
-    cycle = tuple(l.cycle)
+    live = l if isinstance(l, _LiveLollipop) else _LiveLollipop(l)
+    cycle = live.cycle
     t = len(cycle)
-    index = dict(zip(cycle, range(t)))
-    on_path = set(l.path)
+    on_cycle = live.on_cycle
     witnesses = {}
     queue = deque()
 
@@ -416,20 +530,18 @@ def active_closure(g: Graph, l: Lollipop, k: int, *, validate: bool = True):
         # first activation of this end; check its neighborhood before queueing
         u = wp.end
         witnesses[u] = wp
-        stray = [x for x in g.adj[u] if x not in index]
+        stray = [x for x in g.adj[u] if x not in on_cycle]
         if stray:
-            x = min(stray)
-            if x in on_path:
-                return _longer_cycle(l, wp, x)
-            return _larger_vertex_set(g, l, wp, x)
+            return live.improve(g, wp, min(stray))
         queue.append(wp)
         return None
 
     for orientation in SEEDS:
-        improvement = activate(WitnessPath._root(cycle, index, orientation))
+        improvement = activate(WitnessPath._root(cycle, None, orientation))
         if improvement is not None:
             return improvement
 
+    index, base, sign = live.keyed_index()
     while queue:
         wp = queue.popleft()
         u = wp.end
@@ -439,6 +551,7 @@ def active_closure(g: Graph, l: Lollipop, k: int, *, validate: bool = True):
             cv = index.get(v)
             if cv is None:
                 continue
+            cv = (cv - base) * sign
             p = _position(cv, t, forward, flips)
             if p >= t - 2:
                 continue
@@ -452,6 +565,9 @@ def active_closure(g: Graph, l: Lollipop, k: int, *, validate: bool = True):
             if improvement is not None:
                 return improvement
 
+    index = live.plain_index()
+    for wp in witnesses.values():
+        wp._index = index
     passive = frozenset(
         edge(cycle[i - 1], cycle[i])
         for i in range(t)
@@ -471,22 +587,6 @@ def active_closure(g: Graph, l: Lollipop, k: int, *, validate: bool = True):
             closure,
         )
     return closure
-
-
-def _longer_cycle(l: Lollipop, wp: WitnessPath, x: int) -> Improvement:
-    # x lies on the lollipop's path; route the path's tail through the witness
-    j = l.path.index(x)
-    new_path = l.path[: j + 1]
-    new_cycle = l.path[j:] + wp.sequence[1:]
-    return Improvement(Lollipop(path=new_path, cycle=new_cycle), reason="longer_cycle")
-
-
-def _larger_vertex_set(g: Graph, l: Lollipop, wp: WitnessPath, x: int) -> Improvement:
-    # x is a fresh vertex: straighten the lollipop into a path, append x,
-    # grow maximally, and close a cycle again; the engine built the path, so
-    # it is not checked again
-    grown = _grow(g, l.path[:-1] + wp.sequence + (x,))
-    return Improvement(lollipop_from_path(g, grown), reason="larger_vertex_set")
 
 
 # --- closure audit ----------------------------------------------------------
@@ -610,20 +710,20 @@ def improve_until_closed(g: Graph, l: Lollipop, k: int) -> tuple:
     """
     iterations = 0
     limit = g.n * g.n
-    progress = (len(vertex_set(l)), len(l.cycle))
-    outcome = active_closure(g, l, k)
+    live = _LiveLollipop(l)
+    progress = (len(live.members), len(live.cycle))
+    outcome = active_closure(g, live, k)
     while isinstance(outcome, Improvement):
         iterations += 1
         if iterations > limit:
             raise InternalInvariantError("improvement loop exceeded its n^2 bound")
-        l = outcome.lollipop
-        new_progress = (len(vertex_set(l)), len(l.cycle))
+        new_progress = (len(live.members), len(live.cycle))
         if new_progress <= progress:
             raise InternalInvariantError(
                 f"improvement did not progress: {progress} -> {new_progress}"
             )
         progress = new_progress
-        outcome = active_closure(g, l, k, validate=False)
+        outcome = active_closure(g, live, k, validate=False)
     return outcome, iterations
 
 

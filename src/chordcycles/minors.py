@@ -522,8 +522,11 @@ def _bipartite_layout(host, cycle, ell):
     """Position ranges for X1..Xl and Y1..Yl, or None.
 
     Y1 swallows the slack between the middle row cut and the middle column
-    cut; the cut pair is normalized so the slack is non-negative.
+    cut; the cut pair is normalized so the slack is non-negative.  A cycle
+    with fewer than 2l positions has no partition, so it gives None.
     """
+    if len(cycle) < 2 * ell:
+        return None
     outcome = grid_block_partition(_cycle_rows(host, cycle), 2 * ell)
     if outcome.partition is None:
         return None

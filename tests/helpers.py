@@ -125,8 +125,73 @@ def dense_cycle_claims_hold(obj):
         return False
 
 
+def cyclic_minor_claims_hold(obj):
+    """Whether a `cyclic_minor` artifact's claim holds, decided from its own
+    fields with nothing from the library: `target_graph` is the graph that
+    `target` names, `target_cycle` runs through all its vertices along its
+    edges, `arcs` are non-empty, one per target vertex, and are `host_cycle`
+    cut in order, `host_cycle` is a cycle of `graph`, and every target edge
+    between arcs that are not neighbours on the cycle has a host edge between
+    those arcs.  The origin must be "constructive" or "oracle" and
+    `verified` true.  Malformed input is False.
+    """
+    try:
+        return _cyclic_minor_claims_hold(obj)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+        return False
+
+
 def _is_int(x):
     return type(x) is int
+
+
+def _named_edges(name, n):
+    """The edge set of the target a name stands for, on n vertices, or None:
+    K3..K6 are complete, and K'll (l = n/2) or Kll:<l> is K_{l,l} on sides
+    0..l-1 and l..2l-1 with a path through each side."""
+    if name in ("K3", "K4", "K5", "K6"):
+        size = int(name[1])
+        return {frozenset((u, v)) for u in range(size) for v in range(u)} if n == size else None
+    if name == "K'll":
+        ell = n // 2
+    elif name.startswith("Kll:"):
+        ell = int(name[4:])
+    else:
+        return None
+    if ell < 1 or n != 2 * ell:
+        return None
+    edges = {frozenset((x, ell + y)) for x in range(ell) for y in range(ell)}
+    edges |= {frozenset((s + x, s + x + 1)) for s in (0, ell) for x in range(ell - 1)}
+    return edges
+
+
+def _cyclic_minor_claims_hold(obj):
+    if obj["origin"] not in ("constructive", "oracle") or obj["verified"] is not True:
+        return False
+    host, target = _adjacency(obj["graph"]), _adjacency(obj["target_graph"])
+    if host is None or target is None or not _is_cycle(host, obj["host_cycle"]):
+        return False
+    stated = {frozenset((u, v)) for u in range(len(target)) for v in target[u]}
+    if not isinstance(obj["target"], str) or stated != _named_edges(obj["target"], len(target)):
+        return False
+    order, arcs = obj["target_cycle"], obj["arcs"]
+    k = len(target)
+    if not all(map(_is_int, order)) or sorted(order) != list(range(k)) or len(arcs) != k:
+        return False
+    if k == 2:
+        if order[1] not in target[order[0]]:
+            return False
+    elif not _is_cycle(target, order):
+        return False
+    if [v for arc in arcs for v in arc] != obj["host_cycle"] or not all(arcs):
+        return False
+    for p in range(k):
+        for q in range(p + 2, k):
+            if (p, q) == (0, k - 1) or order[q] not in target[order[p]]:
+                continue
+            if not any(v in host[u] for u in arcs[p] for v in arcs[q]):
+                return False
+    return True
 
 
 def _adjacency(graph):

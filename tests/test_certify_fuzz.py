@@ -2,11 +2,13 @@
 
 Real artifacts of every certifiable kind are mutated in one place: a field
 is dropped, a value takes another JSON type, an integer (most often a vertex
-id) moves by one, or two contraction stages swap.  Whatever comes of it,
-`certify` answers with exit 0, or with exit 1 and one `error:` line, or, for
-a model that does not realize its target, with exit 2, and never lets an
-exception escape.  It may accept a contraction or dense-cycle artifact only
-when the independent checkers in `helpers` find its claims hold.
+id) moves by one, two contraction stages swap, or a model is retargeted: its
+target renamed or its target graph swapped for another target's.  Whatever
+comes of it, `certify` answers with exit 0, or with exit 1 and one `error:`
+line, or, for a model that does not realize its target, with exit 2, and
+never lets an exception escape.  It may accept a contraction, dense-cycle or
+cyclic-minor artifact only when the independent checkers in `helpers` find
+its claims hold.
 """
 
 import io
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from chordcycles import artifacts, cli
 
-from helpers import contraction_claims_hold, dense_cycle_claims_hold
+from helpers import contraction_claims_hold, cyclic_minor_claims_hold, dense_cycle_claims_hold
 
 SOURCES = {
     "contraction": [
@@ -40,6 +42,7 @@ SOURCES = {
         ["clique-minor", "--family", "petersen", "--target", "K4"],
         ["clique-minor", "--family", "complete", "--params", "n=7", "--target", "K5"],
         ["certify", "--family", "complete", "--params", "n=5", "--target", "K4", "--oracle"],
+        ["clique-minor", "--family", "complete", "--params", "n=8", "--target", "Kll:3"],
     ],
     "census": [
         ["active-paths", "--family", "complete", "--params", "n=5", "--full"],
@@ -56,6 +59,22 @@ SOURCES = {
 }
 
 OTHER_TYPES = [0, 5, -1, "", "0", "X1", [], [0, 1], [[0, 1]], None, {}, {"n": 0, "edges": []}]
+
+TARGET_NAMES = ["K3", "K4", "K5", "K6", "K'll", "Kll:1", "Kll:2", "Kll:3",
+                "K2", "K7", "Kll:0", "k4"]
+
+
+def _complete_json(n):
+    return {"n": n, "edges": [[u, v] for u in range(n) for v in range(u + 1, n)]}
+
+
+def _kll_json(ell):
+    edges = [[x, ell + y] for x in range(ell) for y in range(ell)]
+    edges += [[s + x, s + x + 1] for s in (0, ell) for x in range(ell - 1)]
+    return {"n": 2 * ell, "edges": sorted(edges)}
+
+
+TARGET_GRAPHS = [_complete_json(n) for n in (3, 4, 5, 6)] + [_kll_json(ell) for ell in (1, 2, 3)]
 
 
 def call(argv):
@@ -75,6 +94,13 @@ def emitted():
             assert code == 0 and artifacts.load(json.loads(out))[0] == kind
             texts[kind].append(out)
     return texts
+
+
+def test_checkers_accept_every_source(emitted):
+    checkers = {"contraction": contraction_claims_hold, "dense_cycle": dense_cycle_claims_hold,
+                "cyclic_minor": cyclic_minor_claims_hold}
+    for kind, check in checkers.items():
+        assert all(check(json.loads(text)) for text in emitted[kind]), kind
 
 
 def _places(node, prefix=()):
@@ -98,7 +124,8 @@ def _holder(obj, path):
 def mutants(draw, texts):
     obj = json.loads(draw(st.sampled_from(texts)))
     places = list(_places(obj))
-    ops = ["drop", "retype", "shift"] + (["swap"] if obj["kind"] == "contraction" else [])
+    ops = ["drop", "retype", "shift"]
+    ops += {"contraction": ["swap"], "cyclic_minor": ["retarget"]}.get(obj["kind"], [])
     op = draw(st.sampled_from(ops))
     if op == "drop":
         path = draw(st.sampled_from([p for p, _ in places if isinstance(p[-1], str)]))
@@ -109,6 +136,12 @@ def mutants(draw, texts):
     elif op == "shift":
         path = draw(st.sampled_from([p for p, v in places if type(v) is int]))
         _holder(obj, path)[path[-1]] += draw(st.sampled_from([-1, 1]))
+    elif op == "retarget":
+        if draw(st.booleans()):
+            obj["target"] = draw(st.sampled_from([x for x in TARGET_NAMES if x != obj["target"]]))
+        else:
+            others = [x for x in TARGET_GRAPHS if x != obj["target_graph"]]
+            obj["target_graph"] = draw(st.sampled_from(others))
     else:
         i, j = draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
         stages = obj["stages"]
@@ -152,7 +185,9 @@ def test_dense_cycle_mutants(emitted, workdir, data):
 
 
 @pytest.mark.parametrize("kind", ["cyclic_minor", "census", "closure", "graph"])
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_other_mutants(emitted, workdir, kind, data):
-    certify_mutant(workdir, data.draw(mutants(emitted[kind])))
+    obj = data.draw(mutants(emitted[kind]))
+    if certify_mutant(workdir, obj) == 0 and kind == "cyclic_minor":
+        assert cyclic_minor_claims_hold(obj), "certify accepted a claim that does not hold"

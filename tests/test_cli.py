@@ -441,6 +441,16 @@ class TestCliqueMinorRouting:
         assert code == 2
         assert "no cyclic K5 minor found" in out
 
+    @pytest.mark.parametrize("host, target", [
+        (["--family", "petersen"], "K6"),
+        (["--family", "complete", "--params", "n=6"], "K6"),
+        (["--family", "petersen"], "Kll:4"),
+    ])
+    def test_quotient_shorter_than_the_grid_is_not_found(self, capsys, host, target):
+        # the X2 quotient has fewer cycle positions than the 2l grid blocks
+        code, out, err = run(capsys, "clique-minor", *host, "--target", target)
+        assert (code, out, err) == (2, f"no cyclic {target} minor found\n", "")
+
     def test_forced_k_propagates_error(self, capsys):
         code, _, err = run(
             capsys, "clique-minor", "--family", "icosahedron",

@@ -72,6 +72,29 @@ class TestParseEdgeList:
         with pytest.raises(ValidationError):
             parse_edge_list("3 3\n")
 
+    def test_tabs_crlf_and_comments_parse(self):
+        g = parse_edge_list("# only a comment\r\n0\t4 # trailing\r\n\t2  1\t\r\n   \r\n3 4#tight\n")
+        assert (g.n, sorted(g.edges())) == (5, [(0, 4), (1, 2), (3, 4)])
+
+    # Each bad line follows lines the parser must skip or accept, so the
+    # pinned line number counts them; the message quotes the whole line,
+    # comment included, stripped of outer whitespace.
+    @pytest.mark.parametrize("text, error, message", [
+        ("0 1 # trailing\n1 2 3\n", ParseError, "expected 'u v' at line 2: '1 2 3'"),
+        ("0 1 2 # three\n", ParseError, "expected 'u v' at line 1: '0 1 2 # three'"),
+        ("# only a comment\n\n0 x\n", ParseError, "non-integer endpoint at line 3: '0 x'"),
+        ("0\t1\n\t1 -2\t\n", ParseError, "negative vertex id at line 2: '1 -2'"),
+        ("0 1\r\n# c\r\n2 2\r\n", ValidationError, "loop at line 3"),
+        ("0\t1\t2\n", ParseError, "expected 'u v' at line 1: '0\\t1\\t2'"),
+        ("#\n0\n", ParseError, "expected 'u v' at line 2: '0'"),
+        ("1.5 2\n", ParseError, "non-integer endpoint at line 1: '1.5 2'"),
+        ("-1 0 # neg\n", ParseError, "negative vertex id at line 1: '-1 0 # neg'"),
+    ])
+    def test_exact_messages(self, text, error, message):
+        with pytest.raises(error) as caught:
+            parse_edge_list(text)
+        assert type(caught.value) is error and str(caught.value) == message
+
 
 class TestFamilies:
     def test_petersen_shape(self):

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -18,12 +19,17 @@ from chordcycles import (
     verify_closure_lemmas,
     verify_dense_cycle,
 )
+from chordcycles import lollipop
 from chordcycles.lollipop import (
     SEEDS,
     ActiveClosure,
     Improvement,
+    Lollipop,
     WitnessPath,
+    _cycle_slot,
+    _position,
     active_closure,
+    improve_until_closed,
     lollipop_from_path,
     maximal_path_extend,
     required_active_count,
@@ -31,7 +37,7 @@ from chordcycles.lollipop import (
     validate_lollipop,
     vertex_set,
 )
-from chordcycles.graph import chords_of_cycle, cycle_edge_set
+from chordcycles.graph import chords_of_cycle, cycle_edge_set, edge
 from chordcycles.oracle import full_active_enumeration
 
 from helpers import complete, cyc, petersen, prism
@@ -302,3 +308,179 @@ class TestClosureLemmas:
         )
         with pytest.raises(Exception):
             verify_closure_lemmas(petersen(), tampered)
+
+
+# --- the improvement loop against its reference -----------------------------
+#
+# The loop as it was before it kept state between closures: every closure
+# builds a full cycle index and path set, the progress check takes
+# `vertex_set` of each new lollipop, and path growth, cycle closing and
+# witness paths are recomputed from scratch here.
+
+def _reference_seed(cycle, orientation):
+    return cycle if orientation == "forward" else (cycle[0],) + tuple(reversed(cycle[1:]))
+
+
+def _reference_grow(g, p):
+    on_path = set(p)
+    tail = list(p)
+    while True:
+        outside = [v for v in sorted(g.adj[tail[-1]]) if v not in on_path]
+        if not outside:
+            break
+        tail.append(outside[0])
+        on_path.add(outside[0])
+    head = deque(tail)
+    while True:
+        outside = [v for v in sorted(g.adj[head[0]]) if v not in on_path]
+        if not outside:
+            break
+        head.appendleft(outside[0])
+        on_path.add(outside[0])
+    return tuple(head)
+
+
+def _reference_close(g, p):
+    for candidate in (p, tuple(reversed(p))):
+        tail = candidate[-1]
+        for i in range(len(candidate) - 2):
+            if candidate[i] in g.adj[tail]:
+                return Lollipop(path=candidate[: i + 1], cycle=candidate[i:])
+    raise PreconditionError("neither end closes")
+
+
+def _reference_closure(g, l):
+    cycle = tuple(l.cycle)
+    t = len(cycle)
+    index = dict(zip(cycle, range(t)))
+    on_path = set(l.path)
+    witnesses = {}
+    queue = deque()
+
+    def activate(wp):
+        u = wp.end
+        witnesses[u] = wp
+        stray = [x for x in g.adj[u] if x not in index]
+        if not stray:
+            queue.append(wp)
+            return None
+        x = min(stray)
+        seq = replay(_reference_seed(cycle, wp.orientation), wp.derivation)
+        if x in on_path:
+            j = l.path.index(x)
+            return Lollipop(path=l.path[: j + 1], cycle=l.path[j:] + seq[1:])
+        return _reference_close(g, _reference_grow(g, l.path[:-1] + seq + (x,)))
+
+    for orientation in SEEDS:
+        better = activate(WitnessPath._root(cycle, index, orientation))
+        if better is not None:
+            return better
+    while queue:
+        wp = queue.popleft()
+        u, forward, flips = wp.end, wp.orientation == "forward", wp.flips
+        for v in sorted(g.adj[u]):
+            cv = index.get(v)
+            if cv is None:
+                continue
+            p = _position(cv, t, forward, flips)
+            if p >= t - 2:
+                continue
+            cw = _cycle_slot(p + 1, t, forward, flips)
+            if cycle[cw] in witnesses or (cv - cw) % t not in (1, t - 1):
+                continue
+            better = activate(wp._child(((u, v), cycle[cw]), p))
+            if better is not None:
+                return better
+    passive = frozenset(
+        edge(cycle[i - 1], cycle[i])
+        for i in range(t)
+        if cycle[i - 1] not in witnesses and cycle[i] not in witnesses
+    )
+    return ActiveClosure(cycle=cycle, active=frozenset(witnesses), witnesses=witnesses,
+                         passive_edges=passive)
+
+
+def _reference_loop(g, l):
+    """(closure, improvements, every lollipop a closure ran on)."""
+    seen = [l]
+    progress = (len(vertex_set(l)), len(l.cycle))
+    outcome = _reference_closure(g, l)
+    while isinstance(outcome, Lollipop):
+        new_progress = (len(vertex_set(outcome)), len(outcome.cycle))
+        assert new_progress > progress
+        progress = new_progress
+        seen.append(outcome)
+        outcome = _reference_closure(g, outcome)
+    return outcome, len(seen) - 1, seen
+
+
+def _summary(closure):
+    return (closure.cycle, closure.active, closure.passive_edges,
+            {u: (wp.seed, wp.derivation) for u, wp in closure.witnesses.items()})
+
+
+def _loop_with_checked_state(g, l, k):
+    """Run improve_until_closed, checking before every closure that the state
+    the loop keeps matches its lollipop; returns (closure, improvements,
+    every lollipop a closure ran on)."""
+    seen = []
+    closure = lollipop.active_closure
+
+    def checked(g, live, k, **kwargs):
+        current = Lollipop(path=live.path, cycle=live.cycle)
+        seen.append(current)
+        assert len(live.members) == len(vertex_set(current))
+        assert live.members == vertex_set(current)
+        assert live.on_cycle == set(live.cycle)
+        if live.index is not None:
+            positions = {v: (key - live.base) * live.sign for v, key in live.index.items()}
+            assert positions == dict(zip(live.cycle, range(len(live.cycle))))
+        return closure(g, live, k, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lollipop, "active_closure", checked)
+        result, iterations = improve_until_closed(g, l, k)
+    assert len(seen) == iterations + 1
+    return result, iterations, seen
+
+
+def _assert_loop_matches_reference(g, l, k):
+    """Returns every lollipop a closure ran on."""
+    closure, iterations, seen = _loop_with_checked_state(g, l, k)
+    expected, expected_iterations, expected_seen = _reference_loop(g, l)
+    assert seen == expected_seen
+    assert (_summary(closure), iterations) == (_summary(expected), expected_iterations)
+    verify_closure_lemmas(g, closure)
+    # the witnesses share one index, whose keys are cycle positions
+    t = len(closure.cycle)
+    assert len({id(wp._index) for wp in closure.witnesses.values()}) == 1
+    for u, wp in closure.witnesses.items():
+        assert (wp.position(closure.cycle[0]), wp.position(u), wp.at(t - 1)) == (0, t - 1, u)
+    return seen
+
+
+class TestLoopAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 6), st.data())
+    def test_random_hosts(self, k, data):
+        n = data.draw(st.integers(k + 2, 40))
+        params = {"n": n, "min_degree": k}
+        if data.draw(st.booleans()):
+            params["avg"] = k
+        g = generate("random_min_degree", params, seed=data.draw(st.integers(0, 2**32)))
+        _assert_loop_matches_reference(g, initial_lollipop(g), k)
+
+    def test_pinned_n1300_host(self):
+        g = generate("random_min_degree", {"n": 1300, "min_degree": 8}, seed=1)
+        assert len(_assert_loop_matches_reference(g, initial_lollipop(g), 8)) > 100
+
+    def test_cycle_closed_at_the_head(self):
+        # No seed sees a vertex off C = (0, 1, 2, 3), so the first closure
+        # pops and builds its index; the depth-1 witness (0, 1, 3, 2) then
+        # sees 4.  The head 5 grows to 6, and the grown path
+        # (6, 5, 0, 1, 3, 2, 4) ends at 4 of degree 1, so the new cycle
+        # closes at the head and holds the grown vertex.
+        g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (0, 5), (5, 6), (6, 0), (2, 4)])
+        l = Lollipop(path=(5, 0), cycle=(0, 1, 2, 3))
+        seen = _assert_loop_matches_reference(g, l, 2)
+        assert seen[1:] == [Lollipop(path=(4, 2, 3, 1, 0), cycle=(0, 5, 6))]

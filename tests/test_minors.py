@@ -420,6 +420,13 @@ class TestK6FromBipartite:
     def test_figure_eight_honest_not_found(self):
         assert k6_from_bipartite(figure_eight(), tuple(range(15))) is None
 
+    def test_cycle_shorter_than_the_grid_is_none(self):
+        # 6 positions cannot be cut into the 8 blocks of the l=4 layout
+        assert k6_from_bipartite(complete(6), tuple(range(6))) is None
+        assert kll_prime_model(complete(6), tuple(range(6)), 4) is None
+        with pytest.raises(ValidationError, match="cannot cut 6 rows into 8 blocks"):
+            grid_block_partition([[1] * 6 for _ in range(6)], 8)
+
 
 class TestFigureEight:
     def test_manual_k6_model_verifies(self):
