@@ -19,7 +19,7 @@ from itertools import chain
 from .contraction import STAGE_LABELS, StageClaim
 from .errors import ValidationError
 from .graph import Graph, format_rational, parse_edge_list
-from .lollipop import SEEDS, ActiveClosure, DenseCycleCertificate, WitnessPath
+from .lollipop import SEEDS, ActiveClosure, DenseCycleCertificate, WitnessPath, seed_path
 from .minors import CyclicMinorModel
 
 SCHEMA = "1"
@@ -146,7 +146,7 @@ def _closure_json(closure: ActiveClosure) -> dict:
     witnesses = {}
     for v, wp in sorted(closure.witnesses.items()):
         witnesses[str(v)] = {
-            "seed": wp.seed_orientation(closure.cycle),
+            "seed": wp.orientation,
             "derivation": [[[c[0], c[1]], w] for c, w in wp.derivation],
         }
     return {
@@ -187,15 +187,17 @@ def _closure(obj, schema: str) -> ActiveClosure:
         what = f"witness {key}"
         derivation = _derivation(w.get("derivation"), what)
         if schema == SCHEMA:
-            witnesses[vertex] = WitnessPath(
-                sequence=_ints(w.get("sequence"), f"{what} sequence"),
-                derivation=derivation,
-                seed=_ints(w.get("seed"), f"{what} seed"),
-            )
+            # schema 1 gave the seed as a path, which must orient the cycle
+            claimed = _ints(w.get("sequence"), f"{what} sequence")
+            seed = _ints(w.get("seed"), f"{what} seed")
+            orientation = next((o for o in SEEDS if seed == seed_path(cycle, o)), None)
+            if orientation is None:
+                raise ValidationError(f"witness for {key} starts from a non-seed path")
         else:
-            if w.get("seed") not in SEEDS:
-                raise ValidationError(f"{what} has unknown seed {w.get('seed')!r}")
-            witnesses[vertex] = WitnessPath(derivation=derivation, seed=w["seed"], cycle=cycle)
+            orientation, claimed = w.get("seed"), None
+            if orientation not in SEEDS:
+                raise ValidationError(f"{what} has unknown seed {orientation!r}")
+        witnesses[vertex] = WitnessPath(cycle, orientation, derivation, claimed)
     return ActiveClosure(
         cycle=cycle,
         active=frozenset(active),

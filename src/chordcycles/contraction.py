@@ -40,7 +40,6 @@ class ContractionReport:
     quotient: Graph
     quotient_cycle: tuple
     active_classes: frozenset
-    host_vertices: tuple
     n_a: int
     n_b: int
     m: int
@@ -106,7 +105,6 @@ def passive_contraction(g: Graph, cert: DenseCycleCertificate) -> ContractionRep
         quotient=quotient,
         quotient_cycle=qcycle,
         active_classes=active_classes,
-        host_vertices=tuple(old_ids),
         n_a=n_a,
         n_b=n_b,
         m=m,
@@ -210,7 +208,6 @@ def half_contraction(report0: ContractionReport) -> ContractionReport:
         quotient=quotient,
         quotient_cycle=qcycle1,
         active_classes=relabeled_active,
-        host_vertices=report0.host_vertices,
         n_a=report0.n_a,
         n_b=report0.n_b,
         m=report0.m,

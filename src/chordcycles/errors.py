@@ -17,10 +17,6 @@ class PreconditionError(GraphError):
     """An operation's entry condition does not hold (degree or density)."""
 
 
-class RuleNotApplicable(GraphError):
-    """A rewrite rule does not apply to the given configuration; callers skip."""
-
-
 class SizeGuardExceeded(GraphError):
     """A brute-force size guard tripped.  Raise the guard explicitly to proceed."""
 

@@ -262,10 +262,9 @@ def _cycle_arcs(g: Graph, cycle, class_of) -> tuple:
 class DegeneracyReport:
     degeneracy: int
     elimination_order: tuple
-    corollary_bound: int | None = None
 
 
-def degeneracy(g: Graph, chord_budget: int | None = None) -> DegeneracyReport:
+def degeneracy(g: Graph) -> DegeneracyReport:
     """Exact degeneracy by repeated minimum-degree peeling.
 
     Ties break toward the smallest vertex id, so the elimination order is
@@ -286,8 +285,7 @@ def degeneracy(g: Graph, chord_budget: int | None = None) -> DegeneracyReport:
         for v in g.adj[u]:
             if v in remaining:
                 deg[v] -= 1
-    bound = None if chord_budget is None else chord_budget_degeneracy_bound(chord_budget)
-    return DegeneracyReport(worst, tuple(order), bound)
+    return DegeneracyReport(worst, tuple(order))
 
 
 def chord_budget_degeneracy_bound(budget: int) -> int:

@@ -18,7 +18,6 @@ from .errors import (
     ClosureShortfall,
     InternalInvariantError,
     PreconditionError,
-    RuleNotApplicable,
     ValidationError,
 )
 from .graph import Graph, check_cycle, check_path, chords_of_cycle, edge
@@ -112,57 +111,40 @@ def _replay_steps(cycle, index, orientation, derivation, flips):
 class WitnessPath:
     """A spanning path of the cycle's vertices, kept as its rotation pedigree.
 
-    The root is a seed: one of the two orientations of the cycle c_1..c_t
-    (see `seed_path`).  Every other witness the closure builds is its parent
-    plus one rotation step ((u, v), w): from the parent path ending at u,
-    pivot at chord uv and break the cycle edge v--w, so the segment after v
-    flips and w becomes the end.  `position` and `at` compose the at most
-    depth flips over the cycle index, so they cost O(depth), not O(t), and
-    no witness stores its path.  `sequence` materialises it on first use.
-
-    Built from outside the closure, `WitnessPath(derivation=...,
-    seed="forward", cycle=...)` names the seed by its orientation, and
-    `WitnessPath(sequence=..., derivation=..., seed=<seed path>)` gives the
-    seed path (read as the forward orientation of itself) and, optionally,
-    the path it claims.  The closure audit checks a claimed sequence against
-    the replay of seed and derivation.
+    `WitnessPath(cycle, orientation, derivation=(), claimed=None)`: the root
+    is a seed, one of the two orientations of the cycle c_1..c_t (see
+    `seed_path`), and each step ((u, v), w) of the derivation pivots the
+    path ending at u at chord uv and breaks the cycle edge v--w, so the
+    segment after v flips and w becomes the end.  The closure builds each
+    witness as its parent plus one step, keeping the step's pivot position
+    in `flips`; `_position` and `_cycle_slot` compose those at most depth
+    flips over the cycle index, so they cost O(depth), not O(t), and no
+    witness stores its path.  `sequence` materialises it on first use.
+    `claimed` is a path the witness states as its own, if any; the closure
+    audit checks it against the replay of seed and derivation.
     """
 
-    __slots__ = ("cycle", "orientation", "parent", "step", "end",
-                 "_index", "_flips", "_derivation", "_sequence")
+    __slots__ = ("cycle", "orientation", "parent", "step", "end", "claimed",
+                 "_flips", "_derivation", "_sequence")
 
-    def __init__(self, sequence=None, derivation=(), seed=None, *, cycle=None):
-        if isinstance(seed, str) and cycle is not None:
-            orientation = seed
-        elif seed is not None and not isinstance(seed, str) and cycle is None:
-            cycle, orientation = seed, "forward"
-        else:
-            raise ValidationError("a witness needs a seed path, or a seed orientation and its cycle")
+    def __init__(self, cycle, orientation, derivation=(), claimed=None):
         if orientation not in SEEDS:
             raise ValidationError(f"unknown seed orientation {orientation!r}")
         if len(cycle) < 3:
             raise ValidationError("a witness's cycle needs at least 3 vertices")
         self.cycle = cycle if isinstance(cycle, tuple) else tuple(cycle)
         self.orientation = orientation
-        self.parent = self.step = self._index = self._flips = None
+        self.parent = self.step = self._sequence = None
         self._derivation = tuple(derivation)
-        self._sequence = None if sequence is None else tuple(sequence)
+        self._flips = None if self._derivation else ()
+        self.claimed = None if claimed is None else tuple(claimed)
         self.end = self._derivation[-1][1] if self._derivation else _seed_end(cycle, orientation)
-
-    @classmethod
-    def _root(cls, cycle, index, orientation) -> "WitnessPath":
-        wp = cls.__new__(cls)
-        wp.cycle, wp._index, wp.orientation = cycle, index, orientation
-        wp.parent = wp.step = wp._derivation = wp._sequence = None
-        wp._flips = ()
-        wp.end = _seed_end(cycle, orientation)
-        return wp
 
     def _child(self, step, pivot) -> "WitnessPath":
         wp = WitnessPath.__new__(WitnessPath)
-        wp.cycle, wp._index, wp.orientation = self.cycle, self._index, self.orientation
+        wp.cycle, wp.orientation = self.cycle, self.orientation
         wp.parent, wp.step, wp.end = self, step, step[1]
-        wp._derivation = wp._sequence = None
+        wp._derivation = wp._sequence = wp.claimed = None
         wp._flips = self._flips + (pivot,)
         return wp
 
@@ -178,17 +160,12 @@ class WitnessPath:
         return tuple(reversed(steps))
 
     @property
-    def seed(self) -> tuple:
-        """The seed path itself."""
-        return seed_path(self.cycle, self.orientation)
-
-    @property
     def flips(self) -> tuple:
         """Pivot positions of the derivation's steps, oldest first."""
         if self._flips is None:
             flips = []
-            for _ in _replay_steps(self.cycle, self._cycle_index(), self.orientation,
-                                   self._derivation, flips):
+            index = dict(zip(self.cycle, range(len(self.cycle))))
+            for _ in _replay_steps(self.cycle, index, self.orientation, self._derivation, flips):
                 pass
             self._flips = tuple(flips)
         return self._flips
@@ -199,37 +176,8 @@ class WitnessPath:
             self._sequence = _materialise(self.cycle, self.orientation, self.flips)
         return self._sequence
 
-    def _cycle_index(self) -> dict:
-        if self._index is None:
-            self._index = dict(zip(self.cycle, range(len(self.cycle))))
-        return self._index
-
-    def position(self, x) -> int:
-        """Where vertex x sits on the path (0 is the anchor)."""
-        c = self._cycle_index().get(x)
-        if c is None:
-            raise ValidationError(f"{x} is not on the path")
-        return _position(c, len(self.cycle), self.orientation == "forward", self.flips)
-
-    def at(self, p) -> int:
-        """The vertex at path position p, for 0 <= p < t."""
-        t = len(self.cycle)
-        if not 0 <= p < t:
-            raise IndexError(f"path position {p} outside 0..{t - 1}")
-        return self.cycle[_cycle_slot(p, t, self.orientation == "forward", self.flips)]
-
-    def seed_orientation(self, cycle):
-        """The orientation of `cycle` this witness starts from, or None."""
-        if self.cycle is cycle:
-            return self.orientation
-        seed = self.seed
-        for orientation in SEEDS:
-            if seed == seed_path(cycle, orientation):
-                return orientation
-        return None
-
     def __repr__(self):
-        return f"WitnessPath(seed={self.seed!r}, derivation={self.derivation!r})"
+        return f"WitnessPath({self.cycle!r}, {self.orientation!r}, {self.derivation!r})"
 
 
 @dataclass(frozen=True)
@@ -237,7 +185,7 @@ class ActiveClosure:
     """A rotation closure at its fixpoint.
 
     `witnesses` maps each active vertex to the first WitnessPath found ending
-    there; the closure's witnesses share one cycle index and hold no paths.
+    there; the closure's witnesses share its cycle and hold no paths.
     `passive_edges` are the cycle edges with no active end.
     """
 
@@ -339,51 +287,6 @@ def initial_lollipop(g: Graph) -> Lollipop:
     return lollipop_from_path(g, maximal_path_extend(g, (0,)))
 
 
-# --- rotations --------------------------------------------------------------
-
-def rotate(q: WitnessPath, chord, cycle_edges, g: Graph | None = None) -> WitnessPath:
-    """One rotation step: pivot the path ending at u around chord (u, v).
-
-    The segment after v flips, making w (v's old successor) the new end.  Only
-    allowed when the broken edge v--w lies on the reference cycle; otherwise
-    RuleNotApplicable.  Pass g to also verify the chord exists in the graph.
-    """
-    seq = q.sequence
-    u, v = chord
-    if seq[-1] != u:
-        raise ValidationError(f"chord must start at the path end {seq[-1]}, got {u}")
-    if g is not None and not g.has_edge(u, v):
-        raise ValidationError(f"({u}, {v}) is not an edge of the graph")
-    try:
-        i = seq.index(v)
-    except ValueError:
-        raise ValidationError(f"pivot {v} is not on the path") from None
-    if i >= len(seq) - 2:
-        raise RuleNotApplicable(f"({u}, {v}) is a path edge or endpoint, not a chord")
-    w = seq[i + 1]
-    if edge(v, w) not in cycle_edges:
-        raise RuleNotApplicable(f"broken edge ({v}, {w}) is not a cycle edge")
-    return WitnessPath(
-        sequence=seq[: i + 1] + tuple(reversed(seq[i + 1:])),
-        derivation=q.derivation + (((u, v), w),),
-        seed=q.seed,
-    )
-
-
-def replay(seed, derivation) -> tuple:
-    """Re-run a derivation from its seed sequence.  Purely combinatorial: no
-    graph needed, each step is validated against the recorded pivot."""
-    seq = tuple(seed)
-    for (u, v), w in derivation:
-        if seq[-1] != u:
-            raise ValidationError(f"derivation expects end {u}, path ends at {seq[-1]}")
-        i = seq.index(v) if v in seq else len(seq)
-        if i >= len(seq) - 2 or seq[i + 1] != w:
-            raise ValidationError(f"derivation step ({u}, {v}) -> {w} does not fit the path")
-        seq = seq[: i + 1] + tuple(reversed(seq[i + 1:]))
-    return seq
-
-
 # --- the improvement loop's lollipop ----------------------------------------
 
 class _LiveLollipop:
@@ -414,17 +317,8 @@ class _LiveLollipop:
     def keyed_index(self) -> tuple:
         """(index, base, sign), building the index if there is none."""
         if self.index is None:
-            self._build_index()
+            self.index, self.base, self.sign = dict(zip(self.cycle, range(len(self.cycle)))), 0, 1
         return self.index, self.base, self.sign
-
-    def plain_index(self) -> dict:
-        """The index with base 0 and sign 1, whose keys are the positions."""
-        if self.index is None or self.base != 0 or self.sign != 1:
-            self._build_index()
-        return self.index
-
-    def _build_index(self):
-        self.index, self.base, self.sign = dict(zip(self.cycle, range(len(self.cycle)))), 0, 1
 
     def improve(self, g: Graph, wp: WitnessPath, x) -> Improvement:
         """Switch to the lollipop that the witness wp and x, a neighbor of
@@ -498,7 +392,7 @@ def required_active_count(g: Graph, cycle, k: int) -> int:
     return k if d_c >= k else k + 1
 
 
-def active_closure(g: Graph, l: Lollipop, k: int, *, validate: bool = True):
+def active_closure(g: Graph, l: Lollipop, k: int):
     """Grow the active set from the two cycle orientations to a fixpoint.
 
     Keeps one witness path per active vertex (first one found; FIFO worklist,
@@ -508,18 +402,20 @@ def active_closure(g: Graph, l: Lollipop, k: int, *, validate: bool = True):
     strictly larger lollipop if it is outside the lollipop entirely.
 
     Witnesses are implicit (see WitnessPath): a pop costs O(degree * depth),
-    not O(t).  validate=False skips re-checking a lollipop that the
-    improvement loop built itself; the final closure is audited anyway.
-    The improvement loop passes its `_LiveLollipop` as l: the closure reads
-    the sets and the cycle index it keeps, builds that index only when the
-    worklist first pops, and advances it in place to the improvement.
+    not O(t).  A plain Lollipop is validated first.  The improvement loop
+    passes its `_LiveLollipop` as l, which it validated once at the start
+    and builds itself from then on: the closure reads the sets and the
+    cycle index it keeps, builds that index only when the worklist first
+    pops, and advances it in place to the improvement.
 
     At fixpoint the closure must hold at least required_active_count vertices;
     a shortfall raises ClosureShortfall carrying the closure for diagnosis.
     """
-    if validate:
+    if isinstance(l, _LiveLollipop):
+        live = l
+    else:
         validate_lollipop(g, l)
-    live = l if isinstance(l, _LiveLollipop) else _LiveLollipop(l)
+        live = _LiveLollipop(l)
     cycle = live.cycle
     t = len(cycle)
     on_cycle = live.on_cycle
@@ -537,7 +433,7 @@ def active_closure(g: Graph, l: Lollipop, k: int, *, validate: bool = True):
         return None
 
     for orientation in SEEDS:
-        improvement = activate(WitnessPath._root(cycle, None, orientation))
+        improvement = activate(WitnessPath(cycle, orientation))
         if improvement is not None:
             return improvement
 
@@ -565,9 +461,6 @@ def active_closure(g: Graph, l: Lollipop, k: int, *, validate: bool = True):
             if improvement is not None:
                 return improvement
 
-    index = live.plain_index()
-    for wp in witnesses.values():
-        wp._index = index
     passive = frozenset(
         edge(cycle[i - 1], cycle[i])
         for i in range(t)
@@ -596,12 +489,12 @@ def verify_closure_lemmas(g: Graph, closure: ActiveClosure):
 
     Raises InternalInvariantError on the first violation, or ValidationError
     when the cycle is not a cycle of g or a derivation step does not fit its
-    path.  Each witness is checked step by step: its seed is one of the
-    cycle's two orientations and ends at an active vertex; each step starts at
+    path.  Each witness is checked step by step: it is a witness on this
+    cycle, and its seed ends at an active vertex; each step starts at
     the current end, pivots at a graph edge (u, v) that is a chord of the
     current path, and breaks the edge from v to its successor w, which must be
     a cycle edge with w active; the last end is the witness's own vertex.  A
-    witness given with an explicit sequence must equal its replay.
+    witness's `claimed` path must equal its replay.
 
     By induction every witness is then a spanning path of g from the anchor,
     and every cycle edge it leaves out has an active end, so no witness skips
@@ -625,9 +518,9 @@ def verify_closure_lemmas(g: Graph, closure: ActiveClosure):
         fail("witness keys disagree with the active set")
 
     for u, wp in closure.witnesses.items():
-        orientation = wp.seed_orientation(cycle)
-        if orientation is None:
+        if wp.cycle is not cycle and wp.cycle != cycle:
             fail(f"witness for {u} starts from a non-seed path")
+        orientation = wp.orientation
         end = _seed_end(cycle, orientation)
         if end not in active:
             fail(f"witness for {u} starts from a seed ending at inactive {end}")
@@ -642,7 +535,7 @@ def verify_closure_lemmas(g: Graph, closure: ActiveClosure):
             end = w
         if end != u:
             fail(f"witness for {u} ends at {end}")
-        if wp._sequence is not None and wp._sequence != _materialise(cycle, orientation, flips):
+        if wp.claimed is not None and wp.claimed != _materialise(cycle, orientation, flips):
             fail(f"witness for {u} does not replay to its own sequence")
 
     expected_passive = frozenset(
@@ -710,6 +603,7 @@ def improve_until_closed(g: Graph, l: Lollipop, k: int) -> tuple:
     """
     iterations = 0
     limit = g.n * g.n
+    validate_lollipop(g, l)
     live = _LiveLollipop(l)
     progress = (len(live.members), len(live.cycle))
     outcome = active_closure(g, live, k)
@@ -723,7 +617,7 @@ def improve_until_closed(g: Graph, l: Lollipop, k: int) -> tuple:
                 f"improvement did not progress: {progress} -> {new_progress}"
             )
         progress = new_progress
-        outcome = active_closure(g, live, k, validate=False)
+        outcome = active_closure(g, live, k)
     return outcome, iterations
 
 

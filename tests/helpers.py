@@ -4,7 +4,7 @@ contraction and dense-cycle artifacts, shared across the test modules."""
 import random
 from fractions import Fraction
 
-from chordcycles import Graph, generate
+from chordcycles import Graph, ValidationError, generate
 
 
 def complete(n):
@@ -94,6 +94,21 @@ def min_degree_corpus(k, count, n_max=200):
         g = generate("random_min_degree", {"n": n, "min_degree": k}, seed=seed)
         out.append((g, k, trial, seed))
     return out
+
+
+def replay(seed, derivation) -> tuple:
+    """Re-run a derivation from its seed sequence on whole paths: the
+    reference that implicit witnesses and the improvement loop are checked
+    against.  No graph needed; each step is validated against the path."""
+    seq = tuple(seed)
+    for (u, v), w in derivation:
+        if seq[-1] != u:
+            raise ValidationError(f"derivation expects end {u}, path ends at {seq[-1]}")
+        i = seq.index(v) if v in seq else len(seq)
+        if i >= len(seq) - 2 or seq[i + 1] != w:
+            raise ValidationError(f"derivation step ({u}, {v}) -> {w} does not fit the path")
+        seq = seq[: i + 1] + tuple(reversed(seq[i + 1:]))
+    return seq
 
 
 def contraction_claims_hold(obj):

@@ -4,7 +4,7 @@ import pytest
 
 from chordcycles import artifacts, cli, find_dense_cycle, generate
 from chordcycles.errors import ClosureShortfall
-from chordcycles.lollipop import ActiveClosure, WitnessPath
+from chordcycles.lollipop import ActiveClosure, WitnessPath, seed_path
 
 from helpers import contraction_claims_hold, min_degree_corpus
 
@@ -69,7 +69,7 @@ class TestExitCodes:
         closure = ActiveClosure(
             cycle=(0, 1, 2),
             active=frozenset({1}),
-            witnesses={1: WitnessPath(sequence=(0, 2, 1), derivation=(), seed=(0, 2, 1))},
+            witnesses={1: WitnessPath((0, 1, 2), "backward")},
             passive_edges=frozenset({(0, 1)}),
         )
 
@@ -230,7 +230,7 @@ class TestRoundTrip:
         assert err.startswith("error:") and err.count("\n") == 1
         assert fragment in err
 
-    def test_schema_1_artifact_still_certifies(self, tmp_path, capsys):
+    def schema_1_artifact(self):
         # Schema "1" stored each witness's full sequence and its seed path.
         g = generate("petersen")
         cert = find_dense_cycle(g, 3)
@@ -239,11 +239,15 @@ class TestRoundTrip:
         obj["closure"]["witnesses"] = {
             str(v): {
                 "sequence": list(wp.sequence),
-                "seed": list(wp.seed),
+                "seed": list(seed_path(wp.cycle, wp.orientation)),
                 "derivation": [[[c[0], c[1]], w] for c, w in wp.derivation],
             }
             for v, wp in sorted(cert.closure.witnesses.items())
         }
+        return obj
+
+    def test_schema_1_artifact_still_certifies(self, tmp_path, capsys):
+        obj = self.schema_1_artifact()
         path = tmp_path / "v1.json"
         path.write_text(json.dumps(obj))
         code, out, err = run(capsys, "certify", "--input", str(path))
@@ -252,6 +256,14 @@ class TestRoundTrip:
         sequence = next(iter(obj["closure"]["witnesses"].values()))["sequence"]
         sequence[1], sequence[2] = sequence[2], sequence[1]
         self.rejected(capsys, path, obj, "does not replay")
+
+    def test_schema_1_seed_path_must_orient_the_cycle(self, tmp_path, capsys):
+        obj = self.schema_1_artifact()
+        v, witness = next(iter(obj["closure"]["witnesses"].items()))
+        seed = witness["seed"]
+        seed[1], seed[2] = seed[2], seed[1]
+        self.rejected(capsys, tmp_path / "v1.json", obj,
+                      f"error: witness for {v} starts from a non-seed path\n")
 
     @pytest.mark.parametrize("name, derivation, fragment", [
         pytest.param(name, derivation, fragment, id=name)

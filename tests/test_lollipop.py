@@ -9,13 +9,10 @@ from chordcycles import (
     Graph,
     InternalInvariantError,
     PreconditionError,
-    RuleNotApplicable,
     ValidationError,
     find_dense_cycle,
     generate,
     initial_lollipop,
-    replay,
-    rotate,
     verify_closure_lemmas,
     verify_dense_cycle,
 )
@@ -40,76 +37,7 @@ from chordcycles.lollipop import (
 from chordcycles.graph import chords_of_cycle, cycle_edge_set, edge
 from chordcycles.oracle import full_active_enumeration
 
-from helpers import complete, cyc, petersen, prism
-
-
-def fresh_witness(cycle):
-    return WitnessPath(sequence=tuple(cycle), derivation=(), seed=tuple(cycle))
-
-
-class TestRotate:
-    def test_basic_pivot(self):
-        # Path 0..4, chord (4, 1): the tail after 1 flips, 2 becomes the end.
-        cycle_edges = cycle_edge_set((0, 1, 2, 3, 4))
-        q = rotate(fresh_witness((0, 1, 2, 3, 4)), (4, 1), cycle_edges)
-        assert q.sequence == (0, 1, 4, 3, 2)
-        assert q.derivation == (((4, 1), 2),)
-
-    def test_wrong_end_rejected(self):
-        cycle_edges = cycle_edge_set((0, 1, 2, 3, 4))
-        with pytest.raises(ValidationError):
-            rotate(fresh_witness((0, 1, 2, 3, 4)), (3, 0), cycle_edges)
-
-    def test_path_edge_not_a_chord(self):
-        cycle_edges = cycle_edge_set((0, 1, 2, 3, 4))
-        with pytest.raises(RuleNotApplicable):
-            rotate(fresh_witness((0, 1, 2, 3, 4)), (4, 3), cycle_edges)
-
-    def test_broken_edge_must_lie_on_cycle(self):
-        # Breaking 1--2 is only allowed while that edge belongs to the
-        # reference cycle; an off-cycle successor blocks the move.
-        cycle_edges = cycle_edge_set((0, 2, 1, 3, 4))
-        q = fresh_witness((0, 1, 2, 3, 4))
-        with pytest.raises(RuleNotApplicable):
-            rotate(q, (4, 0), cycle_edges)
-
-    def test_graph_check_optional(self):
-        g = cyc(5)
-        cycle_edges = cycle_edge_set((0, 1, 2, 3, 4))
-        with pytest.raises(ValidationError):
-            rotate(fresh_witness((0, 1, 2, 3, 4)), (4, 1), cycle_edges, g=g)
-
-
-class TestReplay:
-    def test_round_trip_single(self):
-        cycle_edges = cycle_edge_set((0, 1, 2, 3, 4))
-        q = rotate(fresh_witness((0, 1, 2, 3, 4)), (4, 1), cycle_edges)
-        assert replay(q.seed, q.derivation) == q.sequence
-
-    def test_round_trip_chain(self):
-        g = complete(6)
-        cycle = tuple(range(6))
-        cycle_edges = cycle_edge_set(cycle)
-        q = fresh_witness(cycle)
-        rng = random.Random(3)
-        for _ in range(12):
-            u = q.sequence[-1]
-            pivots = [v for v in q.sequence[:-2] if g.has_edge(u, v)]
-            rng.shuffle(pivots)
-            for v in pivots:
-                try:
-                    q = rotate(q, (u, v), cycle_edges, g=g)
-                    break
-                except RuleNotApplicable:
-                    continue
-        assert replay(q.seed, q.derivation) == q.sequence
-
-    def test_corrupted_derivation_caught(self):
-        cycle_edges = cycle_edge_set((0, 1, 2, 3, 4))
-        q = rotate(fresh_witness((0, 1, 2, 3, 4)), (4, 1), cycle_edges)
-        bad = (((4, 1), 3),)
-        with pytest.raises(ValidationError):
-            replay(q.seed, bad)
+from helpers import complete, cyc, petersen, prism, replay
 
 
 @st.composite
@@ -128,24 +56,35 @@ def derivations(draw):
     return cycle, orientation, tuple(steps)
 
 
+def _read_through_flips(wp):
+    """The witness's path as `_cycle_slot` reads it from its flips, position
+    by position, and each cycle vertex's position as `_position` gives it."""
+    cycle, t, flips = wp.cycle, len(wp.cycle), wp.flips
+    forward = wp.orientation == "forward"
+    path = [cycle[_cycle_slot(p, t, forward, flips)] for p in range(t)]
+    positions = {cycle[c]: _position(c, t, forward, flips) for c in range(t)}
+    return path, positions
+
+
 class TestImplicitWitness:
     @settings(max_examples=300, deadline=None)
     @given(derivations())
     def test_reflections_agree_with_replay(self, case):
         cycle, orientation, derivation = case
         expected = replay(seed_path(cycle, orientation), derivation)
-        wp = WitnessPath(derivation=derivation, seed=orientation, cycle=cycle)
-        assert [wp.at(p) for p in range(len(cycle))] == list(expected)
-        assert [wp.position(x) for x in expected] == list(range(len(cycle)))
+        wp = WitnessPath(cycle, orientation, derivation)
+        path, positions = _read_through_flips(wp)
+        assert path == list(expected)
+        assert [positions[x] for x in expected] == list(range(len(cycle)))
         assert wp.end == expected[-1]
         assert wp.sequence == expected
 
     def test_unknown_seed_rejected(self):
         with pytest.raises(ValidationError):
-            WitnessPath(derivation=(), seed="sideways", cycle=(0, 1, 2))
+            WitnessPath((0, 1, 2), "sideways")
 
     def test_misfit_step_rejected_on_use(self):
-        wp = WitnessPath(derivation=(((4, 1), 3),), seed="forward", cycle=(0, 1, 2, 3, 4))
+        wp = WitnessPath((0, 1, 2, 3, 4), "forward", (((4, 1), 3),))
         with pytest.raises(ValidationError):
             wp.sequence
 
@@ -191,9 +130,10 @@ class TestActiveClosure:
         assert len(outcome.active) == 5
         for v, wp in outcome.witnesses.items():
             assert wp.sequence[-1] == v
-            assert replay(wp.seed, wp.derivation) == wp.sequence
-            assert [wp.at(p) for p in range(6)] == list(wp.sequence)
-            assert [wp.position(x) for x in wp.sequence] == list(range(6))
+            assert replay(seed_path(wp.cycle, wp.orientation), wp.derivation) == wp.sequence
+            path, positions = _read_through_flips(wp)
+            assert path == list(wp.sequence)
+            assert [positions[x] for x in wp.sequence] == list(range(6))
 
     def test_closure_witnesses_inside_full_enumeration(self):
         for g in (complete(6), prism(), cyc(7)):
@@ -278,9 +218,9 @@ class TestClosureLemmas:
         # what keeps each broken cycle edge from being a passive one.
         cycle = (0, 1, 2, 3, 4)
         witnesses = {
-            4: WitnessPath(derivation=(), seed="forward", cycle=cycle),
-            1: WitnessPath(derivation=(), seed="backward", cycle=cycle),
-            3: WitnessPath(derivation=(((4, 1), 2), ((2, 4), 3)), seed="forward", cycle=cycle),
+            4: WitnessPath(cycle, "forward"),
+            1: WitnessPath(cycle, "backward"),
+            3: WitnessPath(cycle, "forward", (((4, 1), 2), ((2, 4), 3))),
         }
         assert witnesses[3].sequence == (0, 1, 4, 2, 3)
         closure = ActiveClosure(
@@ -296,9 +236,8 @@ class TestClosureLemmas:
         v, wp = next(iter(closure.witnesses.items()))
         bad = dict(closure.witnesses)
         bad[v] = WitnessPath(
-            sequence=wp.sequence[:-2] + (wp.sequence[-1], wp.sequence[-2]),
-            derivation=wp.derivation,
-            seed=wp.seed,
+            closure.cycle, wp.orientation, wp.derivation,
+            claimed=wp.sequence[:-2] + (wp.sequence[-1], wp.sequence[-2]),
         )
         tampered = ActiveClosure(
             cycle=closure.cycle,
@@ -306,7 +245,7 @@ class TestClosureLemmas:
             witnesses=bad,
             passive_edges=closure.passive_edges,
         )
-        with pytest.raises(Exception):
+        with pytest.raises(InternalInvariantError, match="does not replay"):
             verify_closure_lemmas(petersen(), tampered)
 
 
@@ -372,7 +311,7 @@ def _reference_closure(g, l):
         return _reference_close(g, _reference_grow(g, l.path[:-1] + seq + (x,)))
 
     for orientation in SEEDS:
-        better = activate(WitnessPath._root(cycle, index, orientation))
+        better = activate(WitnessPath(cycle, orientation))
         if better is not None:
             return better
     while queue:
@@ -416,7 +355,7 @@ def _reference_loop(g, l):
 
 def _summary(closure):
     return (closure.cycle, closure.active, closure.passive_edges,
-            {u: (wp.seed, wp.derivation) for u, wp in closure.witnesses.items()})
+            {u: (wp.orientation, wp.derivation) for u, wp in closure.witnesses.items()})
 
 
 def _loop_with_checked_state(g, l, k):
@@ -426,7 +365,7 @@ def _loop_with_checked_state(g, l, k):
     seen = []
     closure = lollipop.active_closure
 
-    def checked(g, live, k, **kwargs):
+    def checked(g, live, k):
         current = Lollipop(path=live.path, cycle=live.cycle)
         seen.append(current)
         assert len(live.members) == len(vertex_set(current))
@@ -435,7 +374,7 @@ def _loop_with_checked_state(g, l, k):
         if live.index is not None:
             positions = {v: (key - live.base) * live.sign for v, key in live.index.items()}
             assert positions == dict(zip(live.cycle, range(len(live.cycle))))
-        return closure(g, live, k, **kwargs)
+        return closure(g, live, k)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lollipop, "active_closure", checked)
@@ -451,11 +390,15 @@ def _assert_loop_matches_reference(g, l, k):
     assert seen == expected_seen
     assert (_summary(closure), iterations) == (_summary(expected), expected_iterations)
     verify_closure_lemmas(g, closure)
-    # the witnesses share one index, whose keys are cycle positions
-    t = len(closure.cycle)
-    assert len({id(wp._index) for wp in closure.witnesses.values()}) == 1
+    # every witness runs from the anchor to its own vertex on the closure's
+    # cycle, as its flips place them
+    cycle, t = closure.cycle, len(closure.cycle)
     for u, wp in closure.witnesses.items():
-        assert (wp.position(closure.cycle[0]), wp.position(u), wp.at(t - 1)) == (0, t - 1, u)
+        forward = wp.orientation == "forward"
+        assert wp.cycle is cycle
+        assert _position(0, t, forward, wp.flips) == 0
+        assert _position(cycle.index(u), t, forward, wp.flips) == t - 1
+        assert cycle[_cycle_slot(t - 1, t, forward, wp.flips)] == u
     return seen
 
 
