@@ -61,10 +61,7 @@ def _parse_params(raw: list[str] | None) -> dict:
             try:
                 params[key] = int(value)
             except ValueError:
-                try:
-                    params[key] = float(value)
-                except ValueError:
-                    params[key] = value
+                params[key] = value
     return params
 
 
@@ -159,37 +156,9 @@ def _cmd_contract(args) -> int:
     return 0
 
 
-def _parse_target(raw: str) -> tuple[str, int | None]:
-    if raw in ("K3", "K4", "K5", "K6"):
-        return raw, None
-    if raw.startswith("Kll:"):
-        try:
-            ell = int(raw.split(":", 1)[1])
-        except ValueError:
-            raise ValidationError(f"bad target {raw!r}")
-        if ell < 1:
-            raise ValidationError(f"bad target {raw!r}")
-        return "Kll", ell
-    raise ValidationError(
-        f"unknown target {raw!r}: expected K3, K4, K5, K6 or Kll:<l>"
-    )
-
-
-def _target_graph(name: str, ell: int | None) -> tuple[Graph, tuple[int, ...]]:
-    if name == "Kll":
-        return minors.kll_prime_graph(ell)
-    n = int(name[1])
-    return generate("complete", {"n": n}), tuple(range(n))
-
-
-def _named_target(name: str, n: int) -> Graph:
-    """The canonical graph an artifact's target name stands for; K'll takes
-    its side length from the target's order n."""
-    return _target_graph(*_parse_target(f"Kll:{n // 2}" if name == "K'll" else name))[0]
-
-
-def _constructive_model(g: Graph, name: str, ell: int | None, k: int | None):
-    """Build the target model, routing through the contraction pipeline.
+def _constructive_model(g: Graph, name: str, target: Graph, k: int | None):
+    """Build the model of target `name`, whose graph is `target`, routing
+    through the contraction pipeline.
 
     K3 needs no preparation.  The other targets first extract a dense
     cyclic minor: min degree 3 suffices for K4, the rest want the average
@@ -212,17 +181,17 @@ def _constructive_model(g: Graph, name: str, ell: int | None, k: int | None):
         return minors.k5_model(host, cycle)
     if name == "K6":
         return minors.k6_from_bipartite(host, cycle)
-    return minors.kll_prime_model(host, cycle, ell)
+    return minors.kll_prime_model(host, cycle, target.n // 2)
 
 
-def _model_or_not_found(args, g: Graph, name: str, ell: int | None):
+def _model_or_not_found(args, g: Graph, target: Graph):
     """The constructive model, or None once the not-found line is printed.
 
     A failed precondition is a not-found only when --k was left to adapt;
     with an explicit --k it is the user's error and propagates.
     """
     try:
-        model = _constructive_model(g, name, ell, args.k)
+        model = _constructive_model(g, args.target, target, args.k)
     except PreconditionError as exc:
         if args.k is not None:
             raise
@@ -235,12 +204,11 @@ def _model_or_not_found(args, g: Graph, name: str, ell: int | None):
 
 def _cmd_clique_minor(args) -> int:
     g = _load_graph(args)
-    name, ell = _parse_target(args.target)
-    model = _model_or_not_found(args, g, name, ell)
+    _, target = minors.target(args.target)
+    model = _model_or_not_found(args, g, target)
     if model is None:
         return 2
     if args.oracle:
-        target, _ = _target_graph(name, ell)
         witness = oracle.cyclic_minor_exists(g, target, **_guard_kwargs())
         if witness is None:
             raise ValidationError(
@@ -312,7 +280,7 @@ def _certify_artifact(args, name: str, values: tuple) -> int:
             verify_contraction(g, k, *claims)
             message = f"contraction certificate ok: k={k}"
         case "cyclic_minor", (model, _):
-            if model.target != _named_target(model.target_name, model.target.n):
+            if model.target != minors.named_target(model.target_name, model.target.n):
                 raise ValidationError(f"target graph is not {model.target_name!r}")
             if not minors.verify_model(model):
                 _emit(args, "model does not verify")
@@ -345,8 +313,7 @@ def _cmd_certify(args) -> int:
         g = _load_graph(args)
     if not args.target:
         raise ValidationError("certify needs --target (or a JSON certificate)")
-    name, ell = _parse_target(args.target)
-    target, _ = _target_graph(name, ell)
+    label, target = minors.target(args.target)
     if args.oracle:
         witness = oracle.cyclic_minor_exists(g, target, **_guard_kwargs())
         if witness is None:
@@ -358,7 +325,7 @@ def _cmd_certify(args) -> int:
             arcs=witness.arcs,
             target=target,
             target_cycle=witness.target_cycle,
-            target_name=name if name != "Kll" else "K'll",
+            target_name=label,
         )
         if not minors.verify_model(model):
             raise ValidationError("oracle witness failed verification")
@@ -367,7 +334,7 @@ def _cmd_certify(args) -> int:
         else:
             _emit(args, f"cyclic {args.target} minor found (exhaustive)")
         return 0
-    model = _model_or_not_found(args, g, name, ell)
+    model = _model_or_not_found(args, g, target)
     if model is None:
         return 2
     if args.format == "json":
@@ -381,11 +348,16 @@ def _cmd_experiment(args) -> int:
     import random
 
     params = _parse_params(args.params)
-    count = int(params.pop("count", 20))
-    n_max = int(params.pop("n_max", 48))
+    count = params.pop("count", 20)
+    n_max = params.pop("n_max", 48)
     if params:
         raise ValidationError(f"unknown experiment params: {sorted(params)}")
     k = args.k
+    for key, value, low in (("count", count, 0), ("n_max", n_max, k + 2)):
+        if not isinstance(value, int):
+            raise ValidationError(f"parameter {key!r} must be an integer, got {value!r}")
+        if value < low:
+            raise ValidationError(f"experiment needs {key} >= {low}")
     base = args.seed if args.seed is not None else 0
     rows = []
     failures = 0

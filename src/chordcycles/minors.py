@@ -41,10 +41,6 @@ class GridPartition:
     row_cuts: tuple[int, ...]
     col_cuts: tuple[int, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.row_cuts) - 1
-
 
 @dataclass(frozen=True)
 class GridOutcome:
@@ -66,6 +62,33 @@ def kll_prime_graph(ell: int) -> tuple[Graph, tuple[int, ...]]:
     edges += [(x, x + 1) for x in range(ell - 1)]
     edges += [(ell + y, ell + y + 1) for y in range(ell - 1)]
     return Graph(2 * ell, edges), tuple(range(2 * ell))
+
+
+def target(name: str) -> tuple[str, Graph]:
+    """The artifact label and graph a target name stands for.
+
+    K3..K6 are complete graphs; Kll:<l> is K'll with side l, labelled K'll.
+    Every target's Hamiltonian cycle is 0..n-1.
+    """
+    if name in ("K3", "K4", "K5", "K6"):
+        return name, generate("complete", {"n": int(name[1])})
+    if name.startswith("Kll:"):
+        try:
+            ell = int(name[4:])
+        except ValueError:
+            ell = 0
+        if ell < 1:
+            raise ValidationError(f"bad target {name!r}")
+        return "K'll", kll_prime_graph(ell)[0]
+    raise ValidationError(
+        f"unknown target {name!r}: expected K3, K4, K5, K6 or Kll:<l>"
+    )
+
+
+def named_target(name: str, n: int) -> Graph:
+    """The graph an artifact's target name stands for; its label K'll takes
+    the side length from the target's order n."""
+    return target(f"Kll:{n // 2}" if name == "K'll" else name)[1]
 
 
 def verify_model(m: CyclicMinorModel) -> bool:
@@ -105,6 +128,27 @@ def verify_model(m: CyclicMinorModel) -> bool:
     return True
 
 
+def _model(host, host_cycle, arcs, name: str) -> CyclicMinorModel:
+    """The model of target `name` on these arcs, checked by `verify_model`."""
+    label, graph = target(name)
+    model = CyclicMinorModel(
+        host=host,
+        host_cycle=host_cycle,
+        arcs=tuple(arcs),
+        target=graph,
+        target_cycle=tuple(range(graph.n)),
+        target_name=label,
+    )
+    if not verify_model(model):
+        raise InternalInvariantError(f"{label} model failed verification")
+    return model
+
+
+def _check_hamiltonian(g: Graph, c: tuple[int, ...]) -> None:
+    if len(check_cycle(g, c)) != g.n:
+        raise ValidationError("cycle is not Hamiltonian")
+
+
 def _some_cycle(g: Graph) -> tuple[int, ...]:
     """Walk to the smallest fresh neighbor until the walk bites its tail."""
     path = [0]
@@ -133,17 +177,7 @@ def k3_model(g: Graph) -> CyclicMinorModel:
     for s in sizes:
         arcs.append(cycle[at : at + s])
         at += s
-    model = CyclicMinorModel(
-        host=g,
-        host_cycle=cycle,
-        arcs=tuple(arcs),
-        target=generate("complete", {"n": 3}),
-        target_cycle=(0, 1, 2),
-        target_name="K3",
-    )
-    if not verify_model(model):
-        raise InternalInvariantError("triangle model failed verification")
-    return model
+    return _model(g, cycle, arcs, "K3")
 
 
 def _cycle_positions(c: tuple[int, ...]) -> dict[int, int]:
@@ -181,8 +215,7 @@ def k4_model(f: Graph, c: tuple[int, ...]) -> CyclicMinorModel:
     and the rest of the cycle; minimality of P forces every chord at z out
     of P, which supplies the fourth clique edge.
     """
-    if len(check_cycle(f, c)) != f.n:
-        raise ValidationError("cycle is not Hamiltonian")
+    _check_hamiltonian(f, c)
     if min(f.degree(u) for u in range(f.n)) < 3:
         raise PreconditionError("need minimum degree 3")
     chords = chords_of_cycle(f, c)
@@ -198,14 +231,7 @@ def k4_model(f: Graph, c: tuple[int, ...]) -> CyclicMinorModel:
     uv = min(chords, key=lambda ch: (span(ch), ch[0], ch[1]))
     d = span(uv)
     u, v = uv
-    forward = (pos[v] - pos[u]) % n
-    if forward == d and (n - forward == d and u > v):
-        start = v
-    elif forward == d:
-        start = u
-    else:
-        start = v
-    sp = pos[start]
+    sp = pos[u] if (pos[v] - pos[u]) % n == d else pos[v]
     path = tuple(c[(sp + i) % n] for i in range(d + 1))
 
     interior = path[1:-1]
@@ -221,18 +247,7 @@ def k4_model(f: Graph, c: tuple[int, ...]) -> CyclicMinorModel:
         ((sp + d) % n, 1),
         ((sp + d + 1) % n, n - d - 1),
     ]
-    host_cycle, arcs = _arcs_from_intervals(c, intervals)
-    model = CyclicMinorModel(
-        host=f,
-        host_cycle=host_cycle,
-        arcs=arcs,
-        target=generate("complete", {"n": 4}),
-        target_cycle=(0, 1, 2, 3),
-        target_name="K4",
-    )
-    if not verify_model(model):
-        raise InternalInvariantError("K4 model failed verification")
-    return model
+    return _model(f, *_arcs_from_intervals(c, intervals), "K4")
 
 
 def _density_fixpoint(f: Graph, c: tuple[int, ...]):
@@ -315,8 +330,7 @@ def k5_model(f: Graph, c: tuple[int, ...]) -> CyclicMinorModel:
         raise PreconditionError(
             f"need |E| >= 3|V|, have {f.edge_count} < {3 * f.n}"
         )
-    if len(check_cycle(f, c)) != f.n:
-        raise ValidationError("cycle is not Hamiltonian")
+    _check_hamiltonian(f, c)
 
     ivs, q = _density_fixpoint(f, c)
     t = len(ivs)
@@ -373,18 +387,7 @@ def k5_model(f: Graph, c: tuple[int, ...]) -> CyclicMinorModel:
         intervals.append(
             (ivs[run[0]][0], sum(ivs[pp][1] for pp in run))
         )
-    host_cycle, arcs = _arcs_from_intervals(c, intervals)
-    model = CyclicMinorModel(
-        host=f,
-        host_cycle=host_cycle,
-        arcs=arcs,
-        target=generate("complete", {"n": 5}),
-        target_cycle=(0, 1, 2, 3, 4),
-        target_name="K5",
-    )
-    if not verify_model(model):
-        raise InternalInvariantError("K5 model failed verification")
-    return model
+    return _model(f, *_arcs_from_intervals(c, intervals), "K5")
 
 
 def _row_block_next(rows_cols: list[list[int]], lo: int, hi: int, s: int) -> int | None:
@@ -466,29 +469,22 @@ def _grid_exact(rows_cols, a, m) -> GridPartition | None:
     prefix = [0]
 
     def dfs():
+        # sound prune: the row blocks cut so far, with the remaining rows as
+        # one more block, must admit col cuts; at a leaf this is the answer
+        cols = _col_greedy(rows_cols, prefix + [m], a, m)
+        if cols is None:
+            return None
         done = len(prefix) - 1
         if done == a - 1:
-            cuts = prefix + [m]
-            cols = _col_greedy(rows_cols, cuts, a, m)
-            if cols is not None:
-                return GridPartition(tuple(cuts), cols)
-            return None
-        lo = prefix[-1] + 1
-        hi = m - (a - 1 - done)
-        for cut in range(lo, hi + 1):
+            return GridPartition((*prefix, m), cols)
+        for cut in range(prefix[-1] + 1, m - (a - 1 - done) + 1):
             prefix.append(cut)
-            # sound prune: the finished row blocks alone must admit col cuts
-            if _col_greedy(rows_cols, prefix + [m], a, m) is not None:
-                found = dfs()
-                if found is not None:
-                    return found
+            found = dfs()
+            if found is not None:
+                return found
             prefix.pop()
         return None
 
-    if a == 1:
-        cuts = (0, m)
-        cols = _col_greedy(rows_cols, list(cuts), 1, m)
-        return GridPartition(cuts, cols) if cols is not None else None
     return dfs()
 
 
@@ -543,29 +539,15 @@ def _bipartite_layout(host, cycle, ell):
 def kll_prime_model(host: Graph, cycle: tuple[int, ...], ell: int) -> CyclicMinorModel | None:
     """Block-partition the cycle's adjacency matrix into 2l x 2l and read off
     the two sides; None when no partition exists (exactly for small hosts)."""
-    if len(check_cycle(host, cycle)) != host.n:
-        raise ValidationError("cycle is not Hamiltonian")
+    _check_hamiltonian(host, cycle)
     if ell < 1:
         raise ValidationError("need a positive bipartite side")
     layout = _bipartite_layout(host, cycle, ell)
     if layout is None:
         return None
     xs, ys = layout
-    target, target_cycle = kll_prime_graph(ell)
-    arcs = tuple(
-        tuple(cycle[p] for p in range(lo, hi)) for lo, hi in xs + ys
-    )
-    model = CyclicMinorModel(
-        host=host,
-        host_cycle=cycle,
-        arcs=arcs,
-        target=target,
-        target_cycle=target_cycle,
-        target_name="K'll",
-    )
-    if not verify_model(model):
-        raise InternalInvariantError("bipartite model failed verification")
-    return model
+    arcs = (tuple(cycle[p] for p in range(lo, hi)) for lo, hi in xs + ys)
+    return _model(host, cycle, arcs, f"Kll:{ell}")
 
 
 def k6_from_bipartite(host: Graph, cycle: tuple[int, ...]) -> CyclicMinorModel | None:
@@ -575,8 +557,7 @@ def k6_from_bipartite(host: Graph, cycle: tuple[int, ...]) -> CyclicMinorModel |
     leaves six arcs whose cross edges are all supplied by the bipartite
     blocks or the cycle itself.
     """
-    if len(check_cycle(host, cycle)) != host.n:
-        raise ValidationError("cycle is not Hamiltonian")
+    _check_hamiltonian(host, cycle)
     layout = _bipartite_layout(host, cycle, 4)
     if layout is None:
         return None
@@ -596,14 +577,4 @@ def k6_from_bipartite(host: Graph, cycle: tuple[int, ...]) -> CyclicMinorModel |
         grab(*ys[1]),
         grab(*ys[2]),
     )
-    model = CyclicMinorModel(
-        host=host,
-        host_cycle=rotated,
-        arcs=arcs,
-        target=generate("complete", {"n": 6}),
-        target_cycle=(0, 1, 2, 3, 4, 5),
-        target_name="K6",
-    )
-    if not verify_model(model):
-        raise InternalInvariantError("K6 model failed verification")
-    return model
+    return _model(host, rotated, arcs, "K6")

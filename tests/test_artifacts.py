@@ -54,3 +54,19 @@ def test_cli_leaves_the_format_to_artifacts():
     kinds = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and node.value == "kind"]
     assert kinds == []
+
+
+def test_cli_leaves_target_names_to_minors():
+    # which graph and label a target name stands for is decided in minors.target
+    tree = ast.parse(Path(cli.__file__).read_text())
+    labels = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and node.value == "K'll"]
+    assert labels == []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        called = getattr(node.func, "attr", getattr(node.func, "id", None))
+        assert called != "kll_prime_graph", node.lineno
+        if called == "generate" and node.args:
+            first = node.args[0]
+            assert not (isinstance(first, ast.Constant) and first.value == "complete"), node.lineno

@@ -37,6 +37,15 @@ class TestExamples:
         assert code == 0
         assert out == "120 paths, 114 active\n"
 
+    def test_contract_petersen_text(self, capsys):
+        code, out, err = run(capsys, "contract", "--family", "petersen", "--k", "3")
+        assert (code, err) == (0, "")
+        assert out == (
+            "X0: n=9 m=12 min_degree=2 avg_degree=8/3\n"
+            "X1: n=6 m=9 min_degree=3 avg_degree=3\n"
+            "X2: n=6 m=9 min_degree=3 avg_degree=3\n"
+        )
+
     def test_certify_not_found_exhaustive(self, capsys):
         code, out, _ = run(
             capsys,
@@ -372,6 +381,24 @@ class TestMalformedInput:
         assert err.startswith("error:") and err.count("\n") == 1
         assert fragment in err
 
+    @pytest.mark.parametrize("argv, fragment", [
+        (["generate", "--family", "complete", "--params", "n=4.9"],
+         "parameter 'n' must be an integer, got '4.9'"),
+        (["experiment", "--params", "count=2.5"],
+         "parameter 'count' must be an integer, got '2.5'"),
+        (["experiment", "--params", "count=abc"],
+         "parameter 'count' must be an integer, got 'abc'"),
+        (["experiment", "--params", "count=-1"], "experiment needs count >= 0"),
+        (["experiment", "--k", "3", "--params", "n_max=3"], "experiment needs n_max >= 5"),
+        (["generate", "--family", "random_regular", "--params", "n=9,d=3", "--seed", "1"],
+         "random_regular needs n*d even"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "error")
+    def test_bad_parameter(self, capsys, argv, fragment):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert fragment in err
+
 
 class TestInputsAndFormats:
     def test_edge_list_input(self, tmp_path, capsys):
@@ -393,6 +420,35 @@ class TestInputsAndFormats:
         )
         assert code == 0
         assert out.startswith("graph K3 {") and "fillcolor" in out
+
+    @pytest.mark.parametrize("argv, edges, filled", [
+        (["generate", "--family", "petersen"], 15, 0),
+        (["analyze", "--family", "petersen"], 15, 0),
+        (["dense-cycle", "--family", "petersen", "--k", "3"], 15, 9),
+        (["contract", "--family", "petersen", "--k", "3"], 9, 0),
+    ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+    def test_dot_format(self, capsys, argv, edges, filled):
+        # dense-cycle fills the 9 vertices of its cycle; contract draws X2
+        code, out, err = run(capsys, *argv, "--format", "dot")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "graph G {" and lines[-1] == "}"
+        assert sum(" -- " in line for line in lines) == edges
+        assert sum("fillcolor" in line for line in lines) == filled
+        assert len(lines) == edges + filled + 2
+
+    def test_random_regular_family(self, capsys):
+        argv = ["generate", "--family", "random_regular", "--params", "n=10,d=3", "--seed", "4"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert run(capsys, *argv) == (code, out, err)
+        header, *rows = out.splitlines()
+        assert header == "# n = 10"
+        degree = [0] * 10
+        for row in rows:
+            for v in map(int, row.split()):
+                degree[v] += 1
+        assert degree == [3] * 10 and len(set(rows)) == 15
 
     def test_text_analyze(self, capsys):
         code, out, _ = run(capsys, "analyze", "--family", "icosahedron")

@@ -410,6 +410,39 @@ class TestKllPrime:
             kll_prime_model(complete(8), tuple(range(8)), 0)
 
 
+class TestTarget:
+    @pytest.mark.parametrize("name, build", [
+        ("K3", lambda: k3_model(petersen())),
+        ("K4", lambda: k4_model(complete(4), (0, 1, 2, 3))),
+        ("K5", lambda: k5_model(complete(7), tuple(range(7)))),
+        ("K6", lambda: k6_from_bipartite(complete(12), tuple(range(12)))),
+        ("Kll:1", lambda: kll_prime_model(cyc(10), tuple(range(10)), 1)),
+        ("Kll:2", lambda: kll_prime_model(complete(8), tuple(range(8)), 2)),
+    ])
+    def test_builders_build_the_named_target(self, name, build):
+        model = build()
+        label, graph = minors.target(name)
+        assert model.target_name == label
+        assert model.target == graph
+        assert model.target_cycle == tuple(range(graph.n))
+        assert minors.named_target(label, graph.n) == graph
+
+    def test_names(self):
+        assert minors.target("K5") == ("K5", complete(5))
+        assert minors.target("Kll:12") == ("K'll", kll_prime_graph(12)[0])
+
+    @pytest.mark.parametrize("name, message", [
+        ("Kll:0", "bad target 'Kll:0'"),
+        ("Kll:x", "bad target 'Kll:x'"),
+        ("K7", "unknown target 'K7': expected K3, K4, K5, K6 or Kll:<l>"),
+        ("K'll", "unknown target \"K'll\": expected K3, K4, K5, K6 or Kll:<l>"),
+    ])
+    def test_bad_names(self, name, message):
+        with pytest.raises(ValidationError) as info:
+            minors.target(name)
+        assert str(info.value) == message
+
+
 class TestK6FromBipartite:
     def test_k12(self):
         m = k6_from_bipartite(complete(12), tuple(range(12)))
