@@ -353,6 +353,8 @@ def _cmd_experiment(args) -> int:
     if params:
         raise ValidationError(f"unknown experiment params: {sorted(params)}")
     k = args.k
+    if k < 2:
+        raise PreconditionError("need k >= 2")
     for key, value, low in (("count", count, 0), ("n_max", n_max, k + 2)):
         if not isinstance(value, int):
             raise ValidationError(f"parameter {key!r} must be an integer, got {value!r}")

@@ -388,6 +388,8 @@ def _random_min_degree(n: int, k: int, avg, rng: random.Random) -> Graph:
     """
     if k < 0 or n <= k:
         raise ValidationError("random_min_degree needs 0 <= min_degree < n")
+    if avg is not None and avg < 0:
+        raise ValidationError("random_min_degree needs avg >= 0")
     target = min(n - 1, 2 * k if avg is None else avg)
     adj = [set() for _ in range(n)]
 

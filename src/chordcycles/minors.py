@@ -6,9 +6,12 @@ produce every target edge; host edges the target lacks are harmless, because
 the Hamiltonian subgraph being contracted is free to omit chords.  Cycle
 edges are never omitted, which is why consecutive arcs come for free.
 
+A model is fixed by where the cycle is cut: each cut starts an arc, which
+runs to the next cut.  Every constructor states its model as those cut
+positions and hands them to `_model`, the one place that slices arcs.
 Constructors cover the small cliques (K3 through K5), the augmented
 bipartite graph K'll obtained from a block partition of the cycle's
-adjacency matrix, and K6 by merging two of those blocks end to end.
+adjacency matrix, and K6 by dropping two of those cuts.
 """
 
 from __future__ import annotations
@@ -128,13 +131,23 @@ def verify_model(m: CyclicMinorModel) -> bool:
     return True
 
 
-def _model(host, host_cycle, arcs, name: str) -> CyclicMinorModel:
-    """The model of target `name` on these arcs, checked by `verify_model`."""
+def _model(host, cycle, starts, name: str) -> CyclicMinorModel:
+    """The model of target `name` cut at these cycle positions, checked by
+    `verify_model`.
+
+    The cycle is turned to begin at starts[0]; the other starts follow in
+    cycle order, and each arc runs up to the next start.  A repeated start
+    leaves an empty arc, which `verify_model` rejects.
+    """
+    n = len(cycle)
+    base = starts[0] % n
+    host_cycle = tuple(cycle[base:] + cycle[:base])
+    cuts = sorted((s - base) % n for s in starts) + [n]
     label, graph = target(name)
     model = CyclicMinorModel(
         host=host,
         host_cycle=host_cycle,
-        arcs=tuple(arcs),
+        arcs=tuple(host_cycle[a:b] for a, b in zip(cuts, cuts[1:])),
         target=graph,
         target_cycle=tuple(range(graph.n)),
         target_name=label,
@@ -171,41 +184,11 @@ def k3_model(g: Graph) -> CyclicMinorModel:
         raise PreconditionError("need minimum degree 2 to guarantee a cycle")
     cycle = _some_cycle(g)
     n = len(cycle)
-    sizes = [n // 3 + (1 if i < n % 3 else 0) for i in range(3)]
-    arcs = []
-    at = 0
-    for s in sizes:
-        arcs.append(cycle[at : at + s])
-        at += s
-    return _model(g, cycle, arcs, "K3")
+    return _model(g, cycle, [i * (n // 3) + min(i, n % 3) for i in range(3)], "K3")
 
 
 def _cycle_positions(c: tuple[int, ...]) -> dict[int, int]:
     return {v: i for i, v in enumerate(c)}
-
-
-def _arcs_from_intervals(
-    c: tuple[int, ...], intervals: list[tuple[int, int]]
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Tile the cycle with (start, length) position intervals.
-
-    Rotates the host cycle to the first interval's start so the arcs
-    concatenate to it exactly.
-    """
-    n = len(c)
-    if sum(length for _, length in intervals) != n:
-        raise InternalInvariantError("intervals do not tile the cycle")
-    base = intervals[0][0]
-    ordered = sorted(intervals, key=lambda iv: (iv[0] - base) % n)
-    at = 0
-    arcs = []
-    for start, length in ordered:
-        if (start - base) % n != at:
-            raise InternalInvariantError("intervals overlap or leave a gap")
-        arcs.append(tuple(c[(start + i) % n] for i in range(length)))
-        at += length
-    host_cycle = tuple(c[(base + i) % n] for i in range(n))
-    return host_cycle, tuple(arcs)
 
 
 def k4_model(f: Graph, c: tuple[int, ...]) -> CyclicMinorModel:
@@ -241,13 +224,7 @@ def k4_model(f: Graph, c: tuple[int, ...]) -> CyclicMinorModel:
     if not x_candidates:
         raise InternalInvariantError("all chords at z land inside the short path")
 
-    intervals = [
-        (sp, 1),
-        ((sp + 1) % n, d - 1),
-        ((sp + d) % n, 1),
-        ((sp + d + 1) % n, n - d - 1),
-    ]
-    return _model(f, *_arcs_from_intervals(c, intervals), "K4")
+    return _model(f, c, [sp, sp + 1, sp + d, sp + d + 1], "K4")
 
 
 def _density_fixpoint(f: Graph, c: tuple[int, ...]):
@@ -380,14 +357,9 @@ def k5_model(f: Graph, c: tuple[int, ...]) -> CyclicMinorModel:
         for i in range(t - len(ppos) - 1)
     ]
     parts = [[z], interior, [end], [other], prime]
-
-    intervals = []
-    for part in parts:
-        run = part if direction == 1 else list(reversed(part))
-        intervals.append(
-            (ivs[run[0]][0], sum(ivs[pp][1] for pp in run))
-        )
-    return _model(f, *_arcs_from_intervals(c, intervals), "K5")
+    # an arc starts at its part's first block in cycle order
+    starts = [ivs[part[0] if direction == 1 else part[-1]][0] for part in parts]
+    return _model(f, c, starts, "K5")
 
 
 def _row_block_next(rows_cols: list[list[int]], lo: int, hi: int, s: int) -> int | None:
@@ -515,7 +487,7 @@ def _cycle_rows(host: Graph, cycle: tuple[int, ...]) -> _Rows:
 
 
 def _bipartite_layout(host, cycle, ell):
-    """Position ranges for X1..Xl and Y1..Yl, or None.
+    """The start positions of X1..Xl and Y1..Yl, or None.
 
     Y1 swallows the slack between the middle row cut and the middle column
     cut; the cut pair is normalized so the slack is non-negative.  A cycle
@@ -526,14 +498,10 @@ def _bipartite_layout(host, cycle, ell):
     outcome = grid_block_partition(_cycle_rows(host, cycle), 2 * ell)
     if outcome.partition is None:
         return None
-    rows = list(outcome.partition.row_cuts)
-    cols = list(outcome.partition.col_cuts)
+    rows, cols = outcome.partition.row_cuts, outcome.partition.col_cuts
     if rows[ell] > cols[ell]:
         rows, cols = cols, rows
-    xs = [(rows[x], rows[x + 1]) for x in range(ell)]
-    ys = [(rows[ell], cols[ell + 1])]
-    ys += [(cols[y], cols[y + 1]) for y in range(ell + 1, 2 * ell)]
-    return xs, ys
+    return rows[: ell + 1] + cols[ell + 1 : 2 * ell]
 
 
 def kll_prime_model(host: Graph, cycle: tuple[int, ...], ell: int) -> CyclicMinorModel | None:
@@ -542,39 +510,22 @@ def kll_prime_model(host: Graph, cycle: tuple[int, ...], ell: int) -> CyclicMino
     _check_hamiltonian(host, cycle)
     if ell < 1:
         raise ValidationError("need a positive bipartite side")
-    layout = _bipartite_layout(host, cycle, ell)
-    if layout is None:
+    starts = _bipartite_layout(host, cycle, ell)
+    if starts is None:
         return None
-    xs, ys = layout
-    arcs = (tuple(cycle[p] for p in range(lo, hi)) for lo, hi in xs + ys)
-    return _model(host, cycle, arcs, f"Kll:{ell}")
+    return _model(host, cycle, starts, f"Kll:{ell}")
 
 
 def k6_from_bipartite(host: Graph, cycle: tuple[int, ...]) -> CyclicMinorModel | None:
-    """K6 from the l=4 layout by merging the wrap pair and the slack pair.
+    """K6 from the l=4 layout without the starts of X1 and Y1.
 
-    Y4 and X1 are cyclically adjacent, as are X4 and Y1; merging each pair
-    leaves six arcs whose cross edges are all supplied by the bipartite
-    blocks or the cycle itself.
+    Y4 then runs on through X1 across the wrap, and X4 through the slack
+    and Y1; the six arcs left have every cross edge supplied by the
+    bipartite blocks or the cycle itself.
     """
     _check_hamiltonian(host, cycle)
-    layout = _bipartite_layout(host, cycle, 4)
-    if layout is None:
+    starts = _bipartite_layout(host, cycle, 4)
+    if starts is None:
         return None
-    xs, ys = layout
-    n = len(cycle)
-    rot = ys[3][0]  # start of Y4
-    rotated = tuple(cycle[(rot + i) % n] for i in range(n))
-
-    def grab(lo, hi):
-        return tuple(cycle[p] for p in range(lo, hi))
-
-    arcs = (
-        grab(*ys[3]) + grab(*xs[0]),     # Y4 followed by X1 across the wrap
-        grab(*xs[1]),
-        grab(*xs[2]),
-        grab(*xs[3]) + grab(*ys[0]),     # X4, then slack and Y1
-        grab(*ys[1]),
-        grab(*ys[2]),
-    )
-    return _model(host, rotated, arcs, "K6")
+    _, x2, x3, x4, _, y2, y3, y4 = starts
+    return _model(host, cycle, (y4, x2, x3, x4, y2, y3), "K6")

@@ -392,6 +392,13 @@ class TestMalformedInput:
         (["experiment", "--k", "3", "--params", "n_max=3"], "experiment needs n_max >= 5"),
         (["generate", "--family", "random_regular", "--params", "n=9,d=3", "--seed", "1"],
          "random_regular needs n*d even"),
+        (["experiment", "--k", "0"], "need k >= 2"),
+        (["experiment", "--k", "1", "--params", "count=2"], "need k >= 2"),
+        (["generate", "--family", "random_min_degree",
+          "--params", "n=10,min_degree=3,avg=-5", "--seed", "1"],
+         "random_min_degree needs avg >= 0"),
+        (["generate", "--family", "complete", "--params", "n"],
+         "expected key=value, got 'n'"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else "error")
     def test_bad_parameter(self, capsys, argv, fragment):
         code, out, err = run(capsys, *argv)
@@ -455,6 +462,11 @@ class TestInputsAndFormats:
         assert code == 0
         assert "min_degree=5" in out and "degeneracy=5" in out
 
+    def test_empty_param_pieces_ignored(self, capsys):
+        plain = run(capsys, "analyze", "--family", "petersen")
+        assert run(capsys, "analyze", "--family", "petersen", "--params", ",") == plain
+        assert plain[0] == 0
+
     def test_rationals_printed_exactly(self, capsys):
         code, out, _ = run(
             capsys, "contract", "--family", "petersen", "--k", "3",
@@ -489,6 +501,23 @@ class TestCliqueMinorRouting:
         )
         assert code == 0
         assert json.loads(out)["target"] == "K6"
+
+    def test_certify_k6_artifact_on_k12(self, tmp_path, capsys):
+        path = tmp_path / "k6.json"
+        code, out, err = run(
+            capsys, "certify", "--family", "complete", "--params", "n=12",
+            "--target", "K6", "--format", "json", "--out", str(path),
+        )
+        assert (code, out, err) == (0, "", "")
+        obj = json.loads(path.read_text())
+        assert obj["origin"] == "constructive" and obj["target"] == "K6"
+        assert obj["arcs"][0] == [11, 0]  # Y4 runs on through X1 across the wrap
+        assert run(capsys, "certify", "--input", str(path))[0] == 0
+
+    def test_certify_too_sparse_for_k5(self, capsys):
+        code, out, err = run(capsys, "certify", "--family", "petersen", "--target", "K5")
+        assert (code, err) == (2, "")
+        assert out == "no cyclic K5 minor found (need |E| >= 3|V|, have 9 < 18)\n"
 
     def test_kll_target_parse(self, capsys):
         code, out, _ = run(

@@ -123,6 +123,14 @@ class TestFamilies:
             assert min(g.degree(u) for u in range(g.n)) >= 3
             assert connected(g)
 
+    def test_random_min_degree_avg_range(self):
+        # avg below min_degree is legal (the patch-up supplies the floor);
+        # a negative avg is not
+        g = generate("random_min_degree", {"n": 10, "min_degree": 3, "avg": 0}, seed=1)
+        assert min(g.degree(u) for u in range(g.n)) >= 3
+        with pytest.raises(ValidationError, match="avg >= 0"):
+            generate("random_min_degree", {"n": 10, "min_degree": 3, "avg": -5}, seed=1)
+
     def test_random_family_requires_seed(self):
         with pytest.raises(ValidationError):
             generate("random_min_degree", {"n": 10, "min_degree": 2})

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import random
 
@@ -402,12 +404,56 @@ class TestKllPrime:
         assert m.arcs == ((0,), (1, 2, 3, 4, 5, 6, 7, 8, 9))
         assert verify_model(m)
 
+    def test_swapped_cut_pair(self):
+        # row cut 2 (at 6) lies past column cut 2 (at 5), so the layout
+        # swaps the two cut tuples to keep Y1's slack non-negative
+        extra = [(1, 3), (1, 12), (2, 7), (2, 11), (4, 6), (4, 12), (5, 13), (6, 9),
+                 (6, 10), (7, 9), (7, 10), (8, 10), (9, 13), (10, 12), (10, 13)]
+        host = Graph(14, [(i, (i + 1) % 14) for i in range(14)] + extra)
+        cycle = tuple(range(14))
+        part = grid_block_partition(minors._cycle_rows(host, cycle), 4).partition
+        assert part.row_cuts[2] > part.col_cuts[2]
+        m = kll_prime_model(host, cycle, 2)
+        assert m.arcs == ((0, 1, 2), (3, 4), (5, 6, 7, 8, 9), (10, 11, 12, 13))
+        assert verify_model(m)
+
     def test_not_found_is_none(self):
         assert kll_prime_model(figure_eight(), tuple(range(15)), 4) is None
 
     def test_ell_validation(self):
         with pytest.raises(ValidationError):
             kll_prime_model(complete(8), tuple(range(8)), 0)
+
+
+class TestCutModel:
+    """`minors._model` turns cut positions into arcs; it is the only place
+    in `minors` that builds a `CyclicMinorModel`."""
+
+    def test_starts_wrap_round_the_end(self):
+        # the K6 shape: the first arc starts near the end and runs across
+        # the wrap; starts past the end count modulo the cycle length
+        cycle = (3, 1, 4, 0, 5, 2, 6)
+        m = minors._model(complete(7), cycle, (5, 8, 2, 6), "K4")
+        assert m.host_cycle == (2, 6, 3, 1, 4, 0, 5)
+        assert m.arcs == ((2,), (6, 3), (1,), (4, 0, 5))
+        assert m.target_name == "K4" and verify_model(m)
+
+    def test_repeated_start_is_an_empty_arc(self):
+        with pytest.raises(ValidationError, match="empty arc"):
+            minors._model(complete(7), tuple(range(7)), (0, 7, 1, 2), "K4")
+
+    def test_only_model_builds_models(self):
+        def calls(node):
+            return sum(
+                isinstance(c, ast.Call) and getattr(c.func, "id", None) == "CyclicMinorModel"
+                for c in ast.walk(node)
+            )
+
+        tree = ast.parse(inspect.getsource(minors))
+        tail = next(
+            f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_model"
+        )
+        assert calls(tree) == calls(tail) == 1
 
 
 class TestTarget:
