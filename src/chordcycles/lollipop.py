@@ -252,7 +252,7 @@ def _walk(g: Graph, end, on_path: set) -> list:
     # step to the smallest neighbor off the path until there is none
     walked = []
     while True:
-        end = min((v for v in g.adj[end] if v not in on_path), default=None)
+        end = min(g.adj[end] - on_path, default=None)
         if end is None:
             return walked
         walked.append(end)
@@ -408,6 +408,10 @@ def active_closure(g: Graph, l: Lollipop, k: int):
     cycle index it keeps, builds that index only when the worklist first
     pops, and advances it in place to the improvement.
 
+    The anchor sits at position 0 of every witness, so it is never an end:
+    once the other t - 1 cycle vertices are active no pop can activate
+    another, and the worklist stops there.
+
     At fixpoint the closure must hold at least required_active_count vertices;
     a shortfall raises ClosureShortfall carrying the closure for diagnosis.
     """
@@ -426,9 +430,8 @@ def active_closure(g: Graph, l: Lollipop, k: int):
         # first activation of this end; check its neighborhood before queueing
         u = wp.end
         witnesses[u] = wp
-        stray = [x for x in g.adj[u] if x not in on_cycle]
-        if stray:
-            return live.improve(g, wp, min(stray))
+        if not on_cycle.issuperset(g.adj[u]):
+            return live.improve(g, wp, min(g.adj[u] - on_cycle))
         queue.append(wp)
         return None
 
@@ -438,7 +441,7 @@ def active_closure(g: Graph, l: Lollipop, k: int):
             return improvement
 
     index, base, sign = live.keyed_index()
-    while queue:
+    while queue and len(witnesses) < t - 1:
         wp = queue.popleft()
         u = wp.end
         forward = wp.orientation == "forward"
@@ -550,19 +553,23 @@ def verify_closure_lemmas(g: Graph, closure: ActiveClosure):
     for r, run in enumerate(_passive_runs(cycle, closure.passive_edges)):
         for x in run:
             runs_of.setdefault(x, {})[r] = x in (run[0], run[-1])
-    for u in active:
-        touched = {}
-        for x in g.adj[u]:
-            for r, at_end in runs_of.get(x, {}).items():
-                if r in touched:
-                    fail(f"active {u} touches a passive run at {touched[r]} and {x}")
-                if not at_end:
-                    fail(f"active {u} touches the interior of a passive run at {x}")
-                touched[r] = x
+    if runs_of:
+        for u in active:
+            touched = {}
+            for x in g.adj[u]:
+                if x not in runs_of:
+                    continue
+                for r, at_end in runs_of[x].items():
+                    if r in touched:
+                        fail(f"active {u} touches a passive run at {touched[r]} and {x}")
+                    if not at_end:
+                        fail(f"active {u} touches the interior of a passive run at {x}")
+                    touched[r] = x
 
+    on_cycle = index.keys()
     for u in active:
-        stray = [x for x in g.adj[u] if x not in index]
-        if stray:
+        if not on_cycle >= g.adj[u]:
+            stray = [x for x in g.adj[u] if x not in index]
             fail(f"active {u} has neighbors off the cycle: {stray}")
 
 
@@ -627,7 +634,9 @@ def find_dense_cycle(g: Graph, k: int) -> DenseCycleCertificate:
     Needs minimum degree >= k >= 2.  The improvement loop is bounded (see
     improve_until_closed); the emitted certificate carries at least k+1
     vertices with k neighbors on the cycle and hence at least (k+1)(k-2)/2
-    chords, which `verify_dense_cycle` checks before it is returned.
+    chords.  Before it is returned it passes the checks of
+    `verify_dense_cycle`, which are handed the chord listing built here
+    rather than listing the chords a second time.
     """
     if k < 2:
         raise PreconditionError("need k >= 2")
@@ -639,20 +648,21 @@ def find_dense_cycle(g: Graph, k: int) -> DenseCycleCertificate:
     high = set(closure.active)
     if _cycle_degree(g, cycle[0], set(cycle)) >= k:
         high.add(cycle[0])
+    chords = chords_of_cycle(g, cycle)
     cert = DenseCycleCertificate(
         k=k,
         cycle=cycle,
         high_degree=tuple(sorted(high)),
-        chords=chords_of_cycle(g, cycle),
+        chords=chords,
         closure=closure,
         iterations=iterations,
     )
-    verify_dense_cycle(g, cert)
+    _check_dense_cycle(g, cert, chords)
     return cert
 
 
 def _cycle_degree(g: Graph, u, on_cycle) -> int:
-    return sum(1 for x in g.adj[u] if x in on_cycle)
+    return len(g.adj[u] & on_cycle)
 
 
 def verify_dense_cycle(g: Graph, cert: DenseCycleCertificate) -> None:
@@ -665,6 +675,12 @@ def verify_dense_cycle(g: Graph, cert: DenseCycleCertificate) -> None:
     least (k+1)(k-2)/2 of them.  Raises ValidationError on the first claim
     that fails, or InternalInvariantError from the audit.
     """
+    _check_dense_cycle(g, cert, None)
+
+
+def _check_dense_cycle(g: Graph, cert: DenseCycleCertificate, chords) -> None:
+    """`verify_dense_cycle`, given the chords of the certificate's cycle as
+    `chords_of_cycle` lists them, or None to list them here."""
     k, cycle, high = cert.k, cert.cycle, cert.high_degree
     if type(k) is not int or k < 2:
         raise ValidationError(f"k must be an integer >= 2, got {k!r}")
@@ -685,7 +701,9 @@ def verify_dense_cycle(g: Graph, cert: DenseCycleCertificate) -> None:
         raise ValidationError(f"too few high-degree vertices: {distinct} < {k + 1}")
     if distinct != len(high):
         raise ValidationError("high_degree lists a vertex twice")
-    if cert.chords != chords_of_cycle(g, cycle):
+    if chords is None:
+        chords = chords_of_cycle(g, cycle)
+    if cert.chords != chords:
         raise ValidationError("chord list does not match the graph")
     if 2 * len(cert.chords) < (k + 1) * (k - 2):
         raise ValidationError(

@@ -24,6 +24,7 @@ from chordcycles.lollipop import (
     Lollipop,
     WitnessPath,
     _cycle_slot,
+    _passive_runs,
     _position,
     active_closure,
     improve_until_closed,
@@ -205,6 +206,25 @@ class TestFindDenseCycle:
         with pytest.raises(ValidationError, match=fragment):
             verify_dense_cycle(g, replace(cert, **change))
 
+    def test_chords_listed_once(self, monkeypatch):
+        calls = []
+
+        def counted(g, cycle):
+            calls.append(cycle)
+            return chords_of_cycle(g, cycle)
+
+        monkeypatch.setattr(lollipop, "chords_of_cycle", counted)
+        g = petersen()
+        cert = find_dense_cycle(g, 3)
+        assert calls == [cert.cycle]
+        calls.clear()
+        verify_dense_cycle(g, cert)
+        assert calls == [cert.cycle]
+
+
+def _seed7_host():
+    return generate("random_min_degree", {"n": 30, "min_degree": 3, "avg": 3}, seed=7)
+
 
 class TestClosureLemmas:
     def test_audit_passes_on_engine_output(self):
@@ -247,6 +267,26 @@ class TestClosureLemmas:
         )
         with pytest.raises(InternalInvariantError, match="does not replay"):
             verify_closure_lemmas(petersen(), tampered)
+
+    # The seed-7 host's closure at k=3 has passive runs (3, 9, 12, 25),
+    # (5, 17) and (18, 11, 0); the first sits right after active 8.  Each
+    # case audits that closure against the host with one edge added at 8.
+    @pytest.mark.parametrize("n, added, message", [
+        (30, (8, 9), "active 8 touches the interior of a passive run at 9"),
+        (30, (8, 25), "active 8 touches a passive run at 25 and 3"),
+        (31, (8, 30), "active 8 has neighbors off the cycle: [30]"),
+    ])
+    def test_audit_rejects_active_neighbourhood(self, n, added, message):
+        g = _seed7_host()
+        closure = find_dense_cycle(g, 3).closure
+        runs = _passive_runs(closure.cycle, closure.passive_edges)
+        assert sorted(map(len, runs)) == [2, 3, 4]
+        run = max(runs, key=len)
+        assert run == (3, 9, 12, 25)
+        assert closure.cycle[closure.cycle.index(run[0]) - 1] == 8 and 8 in closure.active
+        with pytest.raises(InternalInvariantError) as caught:
+            verify_closure_lemmas(Graph(n, g.edges() + [added]), closure)
+        assert str(caught.value) == message
 
 
 # --- the improvement loop against its reference -----------------------------
@@ -388,6 +428,7 @@ def _assert_loop_matches_reference(g, l, k):
     closure, iterations, seen = _loop_with_checked_state(g, l, k)
     expected, expected_iterations, expected_seen = _reference_loop(g, l)
     assert seen == expected_seen
+    assert closure.cycle[0] not in closure.witnesses
     assert (_summary(closure), iterations) == (_summary(expected), expected_iterations)
     verify_closure_lemmas(g, closure)
     # every witness runs from the anchor to its own vertex on the closure's
@@ -427,3 +468,69 @@ class TestLoopAgainstReference:
         l = Lollipop(path=(5, 0), cycle=(0, 1, 2, 3))
         seen = _assert_loop_matches_reference(g, l, 2)
         assert seen[1:] == [Lollipop(path=(4, 2, 3, 1, 0), cycle=(0, 5, 6))]
+
+
+# --- the closure's saturation exit ------------------------------------------
+
+class _CountingDeque(deque):
+    """A deque that records every instance and counts its pops."""
+
+    made = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.pops = 0
+        _CountingDeque.made.append(self)
+
+    def popleft(self):
+        self.pops += 1
+        return super().popleft()
+
+
+@pytest.fixture
+def counted_queues(monkeypatch):
+    """The worklists of the closures run in the test, oldest first."""
+    monkeypatch.setattr(_CountingDeque, "made", [])
+    monkeypatch.setattr(lollipop, "deque", _CountingDeque)
+    return _CountingDeque.made
+
+
+def _final_lollipop(g):
+    return _reference_loop(g, initial_lollipop(g))[2][-1]
+
+
+class TestSaturationExit:
+    """The closure stops popping once every cycle vertex but the anchor is
+    active, and reaches the same fixpoint as the reference closure."""
+
+    def test_triangle_is_saturated_when_seeded(self, counted_queues):
+        g, l = cyc(3), Lollipop(path=(0,), cycle=(0, 1, 2))
+        closure = active_closure(g, l, 2)
+        assert _summary(closure) == _summary(_reference_closure(g, l))
+        assert closure.active == {1, 2}
+        assert [q.pops for q in counted_queues] == [0]
+
+    def test_petersen_drains_its_queue(self, counted_queues):
+        g = petersen()
+        l = _final_lollipop(g)
+        closure = active_closure(g, l, 3)
+        assert _summary(closure) == _summary(_reference_closure(g, l))
+        assert (len(closure.active), len(closure.cycle) - 1) == (6, 8)
+        assert [q.pops for q in counted_queues] == [6]
+
+    def test_host_with_passive_runs(self, counted_queues):
+        g = _seed7_host()
+        l = _final_lollipop(g)
+        closure = active_closure(g, l, 3)
+        assert _summary(closure) == _summary(_reference_closure(g, l))
+        assert closure.passive_edges
+        assert [q.pops for q in counted_queues] == [len(closure.active)]
+
+    def test_pinned_n1300_final_closure_pops(self, counted_queues):
+        # A count, not a clock: the fixpoint of this host activates every
+        # cycle vertex but the anchor, and the last activation comes after
+        # 748 pops; draining the worklist would take 1299.
+        g = generate("random_min_degree", {"n": 1300, "min_degree": 8}, seed=1)
+        cert = find_dense_cycle(g, 8)
+        assert len(cert.closure.active) == len(cert.cycle) - 1 == 1299
+        assert counted_queues[-1].pops <= 748
