@@ -12,7 +12,6 @@ import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
 
 from . import artifacts, minors, oracle
 from .contraction import pipeline, verify_contraction
@@ -140,13 +139,13 @@ def _cmd_dense_cycle(args) -> int:
 def _cmd_contract(args) -> int:
     g = _load_graph(args)
     cert = find_dense_cycle(g, args.k)
-    r0, r1, r2 = pipeline(g, cert)
-    stages = tuple(r.claim() for r in (r0, r1, r2))
+    stages = pipeline(g, cert)
+    x0, _, x2 = stages
     if args.format == "json":
-        artifact = artifacts.dump_contraction(g, args.k, cert.cycle, stages, r0.n_a, r0.n_b, r0.m)
+        artifact = artifacts.dump_contraction(g, args.k, cert.cycle, stages, x0.n_a, x0.n_b, x0.m)
         _emit(args, artifacts.text(artifact))
     elif args.format == "dot":
-        _emit(args, to_dot(r2.quotient))
+        _emit(args, to_dot(x2.graph))
     else:
         _emit(args, "\n".join(
             f"{s.label}: n={s.graph.n} m={s.graph.edge_count} min_degree={s.min_degree} "
@@ -172,11 +171,10 @@ def _constructive_model(g: Graph, name: str, target: Graph, k: int | None):
     if k is None and g.n > 0:
         want_k = max(2, min(want_k, min(g.degree(u) for u in range(g.n))))
     cert = find_dense_cycle(g, want_k)
-    r0, r1, r2 = pipeline(g, cert)
+    _, x1, x2 = pipeline(g, cert)
     if name == "K4":
-        host, cycle = r1.quotient, r1.quotient_cycle
-        return minors.k4_model(host, cycle)
-    host, cycle = r2.quotient, r2.quotient_cycle
+        return minors.k4_model(x1.graph, x1.cycle)
+    host, cycle = x2.graph, x2.cycle
     if name == "K5":
         return minors.k5_model(host, cycle)
     if name == "K6":
@@ -371,26 +369,20 @@ def _cmd_experiment(args) -> int:
         row = {"id": i, "n": n, "seed": seed}
         try:
             cert = find_dense_cycle(g, k)
-            r0, r1, r2 = pipeline(g, cert)
-            stats1 = degree_stats(r1.quotient)
-            stats2 = degree_stats(r2.quotient)
+            # find_dense_cycle and the pipeline raise unless the certificate
+            # and both stages meet the paper's bounds
+            _, x1, x2 = pipeline(g, cert)
             row.update(
                 high_degree=len(cert.high_degree),
                 chords=len(cert.chords),
-                g1_min_degree=stats1.min_degree,
-                g2_avg_degree=format_rational(stats2.avg_degree),
-                ok=(
-                    len(cert.high_degree) >= k + 1
-                    and 2 * len(cert.chords) >= (k + 1) * (k - 2)
-                    and stats1.min_degree >= (k + 3) // 2
-                    and stats2.avg_degree >= Fraction(2 * (k + 1), 3)
-                ),
+                g1_min_degree=x1.min_degree,
+                g2_avg_degree=format_rational(x2.avg_degree),
+                ok=True,
             )
         except ClosureShortfall:
             raise
         except GraphError as exc:
             row.update(ok=False, error=str(exc))
-        if not row["ok"]:
             failures += 1
         rows.append(row)
     if args.format == "json":

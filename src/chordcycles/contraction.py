@@ -10,7 +10,7 @@ those claims as stated stages, without re-running any of the plans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .errors import InternalInvariantError, ValidationError
@@ -29,33 +29,53 @@ from .lollipop import DenseCycleCertificate
 
 
 @dataclass(frozen=True)
-class ContractionReport:
-    """One applied contraction: the quotient, its spanning cycle of classes,
-    and the chord diagnostics (n_a both-active, n_b one-active, m actives)
-    measured on the passive quotient and carried along unchanged."""
+class StageClaim:
+    """One stage as a contraction artifact states it.
+
+    `contracted_edges` are edges of the certificate cycle in the ids of
+    `induced_subgraph(g, cycle)`, that is in sorted vertex order; `graph` is
+    the quotient they give, and `cycle` lists its classes in cycle order.
+    """
 
     label: str
+    graph: Graph
+    cycle: tuple
+    active_classes: frozenset
+    contracted_edges: frozenset
+    min_degree: int
+    avg_degree: Fraction
+
+
+@dataclass(frozen=True)
+class ContractionReport(StageClaim):
+    """A stage as the pipeline produced it: what the artifact states, plus
+    the degree k, the contraction plan, and the chord diagnostics (n_a
+    both-active, n_b one-active, m actives) measured on the passive quotient
+    and carried along unchanged."""
+
     k: int
     plan: ContractionPlan
-    quotient: Graph
-    quotient_cycle: tuple
-    active_classes: frozenset
     n_a: int
     n_b: int
     m: int
 
-    def claim(self) -> "StageClaim":
-        """The stage as a contraction artifact states it."""
-        stats = degree_stats(self.quotient)
-        return StageClaim(
-            label=self.label,
-            graph=self.quotient,
-            cycle=self.quotient_cycle,
-            active_classes=self.active_classes,
-            contracted_edges=self.plan.contracted_edges,
-            min_degree=stats.min_degree,
-            avg_degree=stats.avg_degree,
-        )
+
+STAGE_LABELS = ("X0", "X1", "X2")
+
+
+def _renumbered(g: Graph, cycle: tuple) -> tuple[Graph, tuple, dict]:
+    """G[C] numbered in sorted vertex order, C in that numbering, and the
+    map from old ids to new."""
+    g0, old_ids = induced_subgraph(g, cycle)
+    relabel = {u: i for i, u in enumerate(old_ids)}
+    return g0, tuple(relabel[u] for u in cycle), relabel
+
+
+def _stage_quotient(g0: Graph, cycle0: tuple, edges) -> tuple[Graph, ContractionPlan, tuple]:
+    """Contract `edges` of the cycle `cycle0` in g0: the quotient, its plan,
+    and its classes in the order the cycle meets them."""
+    quotient, plan = contract_edges(g0, edges, cycle=cycle0)
+    return quotient, plan, tuple(plan.class_of[arc[0]] for arc in plan.arcs)
 
 
 def passive_contraction(g: Graph, cert: DenseCycleCertificate) -> ContractionReport:
@@ -69,26 +89,21 @@ def passive_contraction(g: Graph, cert: DenseCycleCertificate) -> ContractionRep
     if not active <= set(cycle):
         raise ValidationError("certificate active set strays off its cycle")
 
-    g0, old_ids = induced_subgraph(g, cycle)
-    relabel = {u: i for i, u in enumerate(old_ids)}
-    cycle0 = tuple(relabel[u] for u in cycle)
-    active0 = frozenset(relabel[u] for u in active)
+    g0, cycle0, relabel = _renumbered(g, cycle)
     passive0 = [
         (relabel[u], relabel[v]) for u, v in sorted(cert.closure.passive_edges)
     ]
-
-    quotient, plan = contract_edges(g0, passive0, cycle=cycle0)
-    qcycle = tuple(plan.class_of[arc[0]] for arc in plan.arcs)
+    quotient, plan, qcycle = _stage_quotient(g0, cycle0, passive0)
     if len(check_cycle(quotient, qcycle)) != quotient.n:
         raise InternalInvariantError("quotient cycle does not span the quotient")
 
-    active_classes = frozenset(plan.class_of[u] for u in active0)
-    if len(active_classes) != len(active0):
+    active_classes = frozenset(plan.class_of[relabel[u]] for u in active)
+    if len(active_classes) != len(active):
         raise InternalInvariantError("two active vertices fell into one class")
-    for u in active0:
-        if quotient.degree(plan.class_of[u]) != g0.degree(u):
+    for u in active:
+        if quotient.degree(plan.class_of[relabel[u]]) != g0.degree(relabel[u]):
             raise InternalInvariantError(
-                f"active vertex {old_ids[u]} lost degree in the passive quotient"
+                f"active vertex {u} lost degree in the passive quotient"
             )
 
     m = len(active_classes)
@@ -98,13 +113,17 @@ def passive_contraction(g: Graph, cert: DenseCycleCertificate) -> ContractionRep
             f"chord count 2*{n_a}+{n_b} below the (k-2)m = {(cert.k - 2) * m} floor"
         )
 
+    stats = degree_stats(quotient)
     return ContractionReport(
         label="X0",
+        graph=quotient,
+        cycle=qcycle,
+        active_classes=active_classes,
+        contracted_edges=plan.contracted_edges,
+        min_degree=stats.min_degree,
+        avg_degree=stats.avg_degree,
         k=cert.k,
         plan=plan,
-        quotient=quotient,
-        quotient_cycle=qcycle,
-        active_classes=active_classes,
         n_a=n_a,
         n_b=n_b,
         m=m,
@@ -143,12 +162,11 @@ def half_contraction(report0: ContractionReport) -> ContractionReport:
         return replace(report0, label="X1")
     floor = (k + 3) // 2
 
-    qcycle = report0.quotient_cycle
+    qcycle = report0.cycle
     size = len(qcycle)
     active_classes = report0.active_classes
     arcs = report0.plan.arcs
     g0 = report0.plan.host
-    quotient0 = report0.quotient
 
     positions = []  # index into qcycle of each non-active class
     for i, cls in enumerate(qcycle):
@@ -162,11 +180,10 @@ def half_contraction(report0: ContractionReport) -> ContractionReport:
             )
         positions.append(i)
     # classes that cannot stand alone without breaking the degree floor
-    forced = [i for i in positions if quotient0.degree(qcycle[i]) < floor]
+    forced = [i for i in positions if report0.graph.degree(qcycle[i]) < floor]
 
     cycle0 = tuple(v for arc in arcs for v in arc)
-    base_edges = set(report0.plan.contracted_edges)
-    best = None
+    base_edges = set(report0.contracted_edges)
     for assignment in _pairing_choices(positions, forced):
         # a quotient-cycle edge (class, partner) is witnessed by the host cycle
         # edge joining the two arcs' facing endpoints; each pattern merges in
@@ -176,17 +193,16 @@ def half_contraction(report0: ContractionReport) -> ContractionReport:
             else edge(arcs[i][-1], arcs[(i + 1) % size][0])
             for i, side in assignment.items()
         }
-        quotient, plan = contract_edges(g0, sorted(base_edges | extra), cycle=cycle0)
-        if min(quotient.degree(u) for u in range(quotient.n)) >= floor:
-            best = (quotient, plan, len(positions) - len(assignment))
+        quotient, plan, qcycle1 = _stage_quotient(g0, cycle0, sorted(base_edges | extra))
+        stats = degree_stats(quotient)
+        if stats.min_degree >= floor:
+            skipped = len(positions) - len(assignment)
             break
-    if best is None:
+    else:
         raise InternalInvariantError(
             f"no pairing of non-active classes reaches min degree {floor}"
         )
 
-    quotient, plan, skipped = best
-    qcycle1 = tuple(plan.class_of[arc[0]] for arc in plan.arcs)
     if len(check_cycle(quotient, qcycle1)) != quotient.n:
         raise InternalInvariantError("quotient cycle does not span the quotient")
     if quotient.n != report0.m + skipped:
@@ -201,16 +217,16 @@ def half_contraction(report0: ContractionReport) -> ContractionReport:
     relabeled_active = frozenset(
         plan.class_of[arcs[i][0]] for i, cls in enumerate(qcycle) if cls in active_classes
     )
-    return ContractionReport(
+    return replace(
+        report0,
         label="X1",
-        k=k,
-        plan=plan,
-        quotient=quotient,
-        quotient_cycle=qcycle1,
+        graph=quotient,
+        cycle=qcycle1,
         active_classes=relabeled_active,
-        n_a=report0.n_a,
-        n_b=report0.n_b,
-        m=report0.m,
+        contracted_edges=plan.contracted_edges,
+        min_degree=stats.min_degree,
+        avg_degree=stats.avg_degree,
+        plan=plan,
     )
 
 
@@ -236,45 +252,22 @@ def choose_average_plan(
     Comparison is exact rational; a tie keeps the passive quotient, which
     preserves more of the host.  The winner must average at least 2(k+1)/3.
     """
-    avg0 = degree_stats(report0.quotient).avg_degree
-    avg1 = degree_stats(report1.quotient).avg_degree
-    chosen = report1 if avg1 > avg0 else report0
+    chosen = report1 if report1.avg_degree > report0.avg_degree else report0
     bound = Fraction(2 * (report0.k + 1), 3)
-    achieved = max(avg0, avg1)
-    if achieved < bound:
+    if chosen.avg_degree < bound:
         raise InternalInvariantError(
-            f"best average degree {achieved} below 2(k+1)/3 = {bound}"
+            f"best average degree {chosen.avg_degree} below 2(k+1)/3 = {bound}"
         )
     return replace(chosen, label="X2")
 
 
 def pipeline(g: Graph, cert: DenseCycleCertificate):
-    """All three reports for one certificate: passive, half, and best-average."""
+    """The stages X0 (passive), X1 (half) and X2 (best average) of one
+    certificate, as a contraction artifact states them."""
     report0 = passive_contraction(g, cert)
     report1 = half_contraction(report0)
     report2 = choose_average_plan(report0, report1)
     return report0, report1, report2
-
-
-@dataclass(frozen=True)
-class StageClaim:
-    """One stage as a contraction artifact states it.
-
-    `contracted_edges` are edges of the certificate cycle in the ids of
-    `induced_subgraph(g, cycle)`, that is in sorted vertex order; `graph` is
-    the quotient they give, and `cycle` lists its classes in cycle order.
-    """
-
-    label: str
-    graph: Graph
-    cycle: tuple
-    active_classes: frozenset
-    contracted_edges: frozenset
-    min_degree: int
-    avg_degree: Fraction
-
-
-STAGE_LABELS = ("X0", "X1", "X2")
 
 
 def verify_contraction(g: Graph, k, cycle, stages, n_a, n_b, m) -> None:
@@ -295,9 +288,7 @@ def verify_contraction(g: Graph, k, cycle, stages, n_a, n_b, m) -> None:
         raise ValidationError("contraction stages must be X0, X1, X2 in order")
     x0, x1, x2 = stages
 
-    g0, old_ids = induced_subgraph(g, cycle)
-    relabel = {u: i for i, u in enumerate(old_ids)}
-    cycle0 = tuple(relabel[u] for u in cycle)
+    g0, cycle0, _ = _renumbered(g, cycle)
     on_cycle = cycle_edge_set(cycle0)
     plan0 = _verify_stage(g0, cycle0, on_cycle, x0)
     plan1 = _verify_stage(g0, cycle0, on_cycle, x1)
@@ -325,11 +316,16 @@ def verify_contraction(g: Graph, k, cycle, stages, n_a, n_b, m) -> None:
     if x1.min_degree < floor:
         raise ValidationError(f"X1 min degree {x1.min_degree} below ceil((k+2)/2) = {floor}")
 
-    if replace(x2, label="X0") != x0 and replace(x2, label="X1") != x1:
+    if _claim(x2) not in (_claim(x0), _claim(x1)):
         raise ValidationError("X2 is neither X0 nor X1")
     bound = Fraction(2 * (k + 1), 3)
     if x2.avg_degree < bound:
         raise ValidationError(f"X2 average degree {x2.avg_degree} below 2(k+1)/3 = {bound}")
+
+
+def _claim(stage: StageClaim) -> tuple:
+    """What a stage states apart from its label, whatever its class."""
+    return tuple(getattr(stage, f.name) for f in fields(StageClaim) if f.name != "label")
 
 
 def _verify_stage(g0: Graph, cycle0: tuple, on_cycle, stage: StageClaim) -> ContractionPlan:
@@ -339,10 +335,10 @@ def _verify_stage(g0: Graph, cycle0: tuple, on_cycle, stage: StageClaim) -> Cont
             raise ValidationError(
                 f"{stage.label} contracts ({u}, {v}), not an edge of the certificate cycle"
             )
-    quotient, plan = contract_edges(g0, stage.contracted_edges, cycle=cycle0)
+    quotient, plan, qcycle = _stage_quotient(g0, cycle0, stage.contracted_edges)
     if quotient != stage.graph:
         raise ValidationError(f"{stage.label} graph is not the quotient by its contracted edges")
-    if stage.cycle != tuple(plan.class_of[arc[0]] for arc in plan.arcs):
+    if stage.cycle != qcycle:
         raise ValidationError(f"{stage.label} cycle does not list its classes in cycle order")
     check_cycle(quotient, stage.cycle)
     stats = degree_stats(quotient)

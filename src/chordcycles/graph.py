@@ -155,11 +155,10 @@ def chords_of_cycle(g: Graph, cycle) -> tuple:
     """Edges of g between non-consecutive cycle vertices, sorted."""
     on_cycle = set(cycle)
     skip = cycle_edge_set(cycle)
-    return tuple(
-        e
-        for e in g.edges()
-        if e[0] in on_cycle and e[1] in on_cycle and e not in skip
-    )
+    return tuple(sorted(
+        (u, v) for u in on_cycle for v in g.adj[u]
+        if u < v and v in on_cycle and (u, v) not in skip
+    ))
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
@@ -220,10 +219,10 @@ def contract_edges(g: Graph, edges, cycle=None) -> tuple[Graph, ContractionPlan]
     roots = sorted({find(u) for u in range(g.n)})
     index = {r: i for i, r in enumerate(roots)}
     class_of = tuple(index[find(u)] for u in range(g.n))
-    quotient_edges = {
-        edge(class_of[u], class_of[v]) for u, v in g.edges() if class_of[u] != class_of[v]
-    }
-    quotient = Graph(len(roots), sorted(quotient_edges))
+    quotient = Graph(len(roots), {
+        edge(class_of[u], class_of[v])
+        for u in range(g.n) for v in g.adj[u] if u < v and class_of[u] != class_of[v]
+    })
 
     arcs = None
     if cycle is not None:

@@ -130,9 +130,9 @@ def test_criterion_2_contraction_guarantees(corpus_results, report):
     failures = []
     for g, k, cert, (r0, r1, r2) in records:
         floor = (k + 3) // 2  # ceil((k + 2) / 2)
-        if degree_stats(r1.quotient).min_degree < floor:
+        if degree_stats(r1.graph).min_degree < floor:
             failures.append(("G1", k, g.n))
-        if degree_stats(r2.quotient).avg_degree < Fraction(2 * (k + 1), 3):
+        if degree_stats(r2.graph).avg_degree < Fraction(2 * (k + 1), 3):
             failures.append(("G2", k, g.n))
     report("contraction_guarantees", not failures, f"failures={failures[:3]}")
     assert not failures
@@ -177,7 +177,7 @@ def test_criterion_4_f_value_spot_checks(report):
             continue
         cert = find_dense_cycle(g, 3)
         _, r1, _ = pipeline(g, cert)
-        model = k4_model(r1.quotient, r1.quotient_cycle)
+        model = k4_model(r1.graph, r1.cycle)
         if not verify_model(model):
             model_failures += 1
 
@@ -356,7 +356,7 @@ def _constructive_attempt(g, t):
         cert = find_dense_cycle(g, 3 if t == 4 else 8)
         _, r1, r2 = pipeline(g, cert)
         if t == 4:
-            return k4_model(r1.quotient, r1.quotient_cycle)
-        return k5_model(r2.quotient, r2.quotient_cycle)
+            return k4_model(r1.graph, r1.cycle)
+        return k5_model(r2.graph, r2.cycle)
     except GraphError:
         return None

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from chordcycles import artifacts, cli, find_dense_cycle, generate
-from chordcycles.errors import ClosureShortfall
+from chordcycles import artifacts, cli, find_dense_cycle, generate, pipeline
+from chordcycles.errors import ClosureShortfall, InternalInvariantError
 from chordcycles.lollipop import ActiveClosure, WitnessPath, seed_path
 
 from helpers import contraction_claims_hold, min_degree_corpus
@@ -156,6 +156,48 @@ class TestDeterminism:
         assert [r["id"] for r in obj["rows"]] == [0, 1, 2, 3, 4]
         assert obj["failures"] == 0
         assert all(r["ok"] for r in obj["rows"])
+
+
+class TestExperimentErrorRows:
+    """A host whose pipeline raises is a failed row, not an aborted run."""
+
+    ARGV = ["experiment", "--k", "3", "--seed", "4", "--params", "count=5,n_max=16"]
+    ERROR = "no pairing of non-active classes reaches min degree 3"
+
+    def fail_third_host(self, monkeypatch):
+        calls = []
+
+        def third_fails(g, cert):
+            calls.append(g)
+            if len(calls) == 3:
+                raise InternalInvariantError(self.ERROR)
+            return pipeline(g, cert)
+
+        monkeypatch.setattr(cli, "pipeline", third_fails)
+
+    def test_json_row(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, *self.ARGV, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        self.fail_third_host(monkeypatch)
+        code, out, err = run(capsys, *self.ARGV, "--format", "json")
+        assert (code, err) == (2, "")
+        obj = json.loads(out)
+        assert obj["failures"] == 1
+        failed = {key: rows[2][key] for key in ("id", "n", "seed")}
+        assert obj["rows"] == [*rows[:2], {**failed, "ok": False, "error": self.ERROR}, *rows[3:]]
+
+    def test_text_row(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, *self.ARGV)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[2].endswith(" ok=True") and lines[-1] == "failures=0/5"
+        self.fail_third_host(monkeypatch)
+        code, out, err = run(capsys, *self.ARGV)
+        assert (code, err) == (2, "")
+        lines[2] = lines[2].replace("ok=True", "ok=False")
+        lines[-1] = "failures=1/5"
+        assert out.splitlines() == lines
 
 
 DENSE = ["dense-cycle", "--family", "petersen", "--k", "3"]

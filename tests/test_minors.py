@@ -253,7 +253,7 @@ def _chorded_cycle(n, extra, seed):
 def _x2_quotient(n, seed):
     g = generate("random_min_degree", {"n": n, "min_degree": 8}, seed=seed)
     r2 = pipeline(g, find_dense_cycle(g, 8))[2]
-    return r2.quotient, r2.quotient_cycle
+    return r2.graph, r2.cycle
 
 
 class TestAgainstReference:
