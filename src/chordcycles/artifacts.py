@@ -33,16 +33,18 @@ def text(obj) -> str:
 
 
 def read(path: str):
-    """An --input file: the parsed object when it is JSON (it starts with
-    '{'), else the edge list it holds as a Graph.  Undecodable input raises
+    """An --input file: the parsed artifact when it is JSON (it starts with
+    '{') with a "kind", else the graph it holds as a Graph, from a bare
+    {"n", "edges"} object or an edge list.  Undecodable input raises
     ValidationError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data.lstrip().startswith(b"{"):
         try:
-            return json.loads(data)
+            obj = json.loads(data)
         except (ValueError, RecursionError) as exc:
             raise ValidationError(f"malformed JSON input: {exc}") from None
+        return obj if "kind" in obj else input_graph(obj)
     try:
         return parse_edge_list(data.decode("utf-8"))
     except UnicodeDecodeError as exc:

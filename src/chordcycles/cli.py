@@ -22,7 +22,6 @@ from .graph import (
     degree_stats,
     format_rational,
     generate,
-    induced_subgraph,
     to_dot,
 )
 from .lollipop import (
@@ -33,8 +32,6 @@ from .lollipop import (
     verify_closure_lemmas,
     verify_dense_cycle,
 )
-
-_TARGET_DEFAULT_K = {"K3": None, "K4": 3, "K5": 8, "K6": 8}
 
 
 def _guard_kwargs() -> dict:
@@ -155,41 +152,14 @@ def _cmd_contract(args) -> int:
     return 0
 
 
-def _constructive_model(g: Graph, name: str, target: Graph, k: int | None):
-    """Build the model of target `name`, whose graph is `target`, routing
-    through the contraction pipeline.
-
-    K3 needs no preparation.  The other targets first extract a dense
-    cyclic minor: min degree 3 suffices for K4, the rest want the average
-    degree 6 quotient that k = 8 guarantees.  Without an explicit --k the
-    pipeline degree is clamped to the host's minimum degree, so dense
-    hosts below degree 8 still get their best shot.
-    """
-    if name == "K3":
-        return minors.k3_model(g)
-    want_k = k if k is not None else _TARGET_DEFAULT_K.get(name, 8)
-    if k is None and g.n > 0:
-        want_k = max(2, min(want_k, min(g.degree(u) for u in range(g.n))))
-    cert = find_dense_cycle(g, want_k)
-    _, x1, x2 = pipeline(g, cert)
-    if name == "K4":
-        return minors.k4_model(x1.graph, x1.cycle)
-    host, cycle = x2.graph, x2.cycle
-    if name == "K5":
-        return minors.k5_model(host, cycle)
-    if name == "K6":
-        return minors.k6_from_bipartite(host, cycle)
-    return minors.kll_prime_model(host, cycle, target.n // 2)
-
-
-def _model_or_not_found(args, g: Graph, target: Graph):
+def _model_or_not_found(args, g: Graph):
     """The constructive model, or None once the not-found line is printed.
 
     A failed precondition is a not-found only when --k was left to adapt;
     with an explicit --k it is the user's error and propagates.
     """
     try:
-        model = _constructive_model(g, args.target, target, args.k)
+        model = minors.build(g, args.target, args.k)
     except PreconditionError as exc:
         if args.k is not None:
             raise
@@ -202,12 +172,11 @@ def _model_or_not_found(args, g: Graph, target: Graph):
 
 def _cmd_clique_minor(args) -> int:
     g = _load_graph(args)
-    _, target = minors.target(args.target)
-    model = _model_or_not_found(args, g, target)
+    model = _model_or_not_found(args, g)
     if model is None:
         return 2
     if args.oracle:
-        witness = oracle.cyclic_minor_exists(g, target, **_guard_kwargs())
+        witness = oracle.cyclic_minor_exists(g, model.target, **_guard_kwargs())
         if witness is None:
             raise ValidationError(
                 "constructive model exists but the oracle found none"
@@ -225,27 +194,11 @@ def _cmd_clique_minor(args) -> int:
     return 0
 
 
-def _census(g: Graph, cycle) -> tuple[set, frozenset]:
-    """The exhaustive census of a cycle: every Hamiltonian path of the graph
-    induced on its vertices from its anchor, and the paths its unpruned
-    rotation closure reaches.  LOLLIPOP_GUARD_N raises both size guards."""
-    guard = _guard_kwargs()
-    enum = oracle.full_active_enumeration(
-        g, cycle, **({"guard_t": guard["guard_n"]} if guard else {})
-    )
-    sub, old_ids = induced_subgraph(g, cycle)
-    everything = {
-        tuple(old_ids[v] for v in p)
-        for p in oracle.hamiltonian_paths_from(sub, old_ids.index(cycle[0]), **guard)
-    }
-    return everything, enum.paths
-
-
 def _cmd_active_paths(args) -> int:
     g = _load_graph(args)
     lollipop = initial_lollipop(g)
     if args.full:
-        everything, active_paths = _census(g, lollipop.cycle)
+        everything, active_paths = oracle.active_path_census(g, lollipop.cycle, **_guard_kwargs())
         total, active = len(everything), len(active_paths)
         if args.format == "json":
             non_active = tuple(sorted(everything - active_paths))
@@ -285,7 +238,7 @@ def _certify_artifact(args, name: str, values: tuple) -> int:
                 return 2
             message = f"cyclic {model.target_name} minor ok"
         case "census", (g, cycle, *stated):
-            everything, active_paths = _census(g, cycle)
+            everything, active_paths = oracle.active_path_census(g, cycle, **_guard_kwargs())
             non_active = tuple(sorted(everything - active_paths))
             if [len(everything), len(active_paths), non_active] != stated:
                 raise ValidationError("census does not reproduce")
@@ -311,8 +264,8 @@ def _cmd_certify(args) -> int:
         g = _load_graph(args)
     if not args.target:
         raise ValidationError("certify needs --target (or a JSON certificate)")
-    label, target = minors.target(args.target)
     if args.oracle:
+        label, target = minors.target(args.target)
         witness = oracle.cyclic_minor_exists(g, target, **_guard_kwargs())
         if witness is None:
             _emit(args, f"no cyclic {args.target} minor (exhaustive)")
@@ -332,7 +285,7 @@ def _cmd_certify(args) -> int:
         else:
             _emit(args, f"cyclic {args.target} minor found (exhaustive)")
         return 0
-    model = _model_or_not_found(args, g, target)
+    model = _model_or_not_found(args, g)
     if model is None:
         return 2
     if args.format == "json":

@@ -140,6 +140,20 @@ def full_active_enumeration(g: Graph, cycle, guard_t: int = 10) -> FullEnumerati
     return FullEnumeration(paths=frozenset(seen), active=frozenset(q[-1] for q in seen))
 
 
+def active_path_census(g: Graph, cycle, guard_n: int | None = None) -> tuple[set, frozenset]:
+    """The exhaustive census of a cycle: every Hamiltonian path of the graph
+    induced on its vertices from its anchor, and the paths its unpruned
+    rotation closure reaches.  guard_n, when given, raises both size guards."""
+    guards = () if guard_n is None else (guard_n,)
+    enum = full_active_enumeration(g, cycle, *guards)
+    sub, old_ids = induced_subgraph(g, cycle)
+    everything = {
+        tuple(old_ids[v] for v in p)
+        for p in hamiltonian_paths_from(sub, old_ids.index(cycle[0]), *guards)
+    }
+    return everything, enum.paths
+
+
 def rotation_levels(g: Graph, cycle, levels: int, guard_t: int = 10) -> list[frozenset]:
     """The sets S_1..S_levels, each the exact one-step image of its predecessor.
 

@@ -57,16 +57,19 @@ def test_cli_leaves_the_format_to_artifacts():
 
 
 def test_cli_leaves_target_names_to_minors():
-    # which graph and label a target name stands for is decided in minors.target
+    # which graph and label a target name stands for is decided in
+    # minors.target, and which builder and stage it takes in minors.build
     tree = ast.parse(Path(cli.__file__).read_text())
     labels = [node.lineno for node in ast.walk(tree)
-              if isinstance(node, ast.Constant) and node.value == "K'll"]
+              if isinstance(node, ast.Constant) and node.value in ("K'll", "K3", "K4", "K5", "K6")]
     assert labels == []
+    builders = {"kll_prime_graph", "k3_model", "k4_model", "k5_model",
+                "k6_from_bipartite", "kll_prime_model"}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         called = getattr(node.func, "attr", getattr(node.func, "id", None))
-        assert called != "kll_prime_graph", node.lineno
+        assert called not in builders, node.lineno
         if called == "generate" and node.args:
             first = node.args[0]
             assert not (isinstance(first, ast.Constant) and first.value == "complete"), node.lineno

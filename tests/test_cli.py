@@ -462,6 +462,22 @@ class TestInputsAndFormats:
         code, out, _ = run(capsys, "dense-cycle", "--input", str(f), "--k", "2")
         assert code == 0
 
+    def test_certify_reads_a_bare_json_graph(self, tmp_path, capsys):
+        f = tmp_path / "k4.json"
+        f.write_text(json.dumps(artifacts.dump_graph(generate("complete", {"n": 4}))["graph"]))
+        assert run(capsys, "certify", "--input", str(f), "--target", "K3") == (
+            0, "cyclic K3 minor found\n", "")
+        code, out, err = run(capsys, "certify", "--input", str(f))
+        assert (code, out) == (1, "")
+        assert err == "error: certify needs --target (or a JSON certificate)\n"
+
+    def test_certify_still_reads_an_artifact_with_a_kind(self, tmp_path, capsys):
+        f = tmp_path / "k4.json"
+        f.write_text(json.dumps(artifacts.dump_graph(generate("complete", {"n": 4}))))
+        assert run(capsys, "certify", "--input", str(f)) == (0, "graph ok\n", "")
+        assert run(capsys, "certify", "--input", str(f), "--target", "K3") == (
+            0, "graph ok\n", "")
+
     def test_dot_output(self, capsys):
         code, out, _ = run(
             capsys, "clique-minor", "--family", "petersen",

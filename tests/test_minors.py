@@ -22,7 +22,7 @@ from chordcycles import (
     kll_prime_model,
     verify_model,
 )
-from chordcycles import minors
+from chordcycles import artifacts, cli, minors
 from chordcycles.contraction import pipeline
 from chordcycles.graph import edge
 from chordcycles.oracle import first_hamiltonian_cycle
@@ -487,6 +487,40 @@ class TestTarget:
         with pytest.raises(ValidationError) as info:
             minors.target(name)
         assert str(info.value) == message
+
+
+class TestBuild:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", ["K3", "K4", "K5", "K6", "Kll:1", "Kll:2", "Kll:3", "Kll:4"])
+    def test_build_is_what_clique_minor_prints(self, capsys, seed, name):
+        params = {"n": 200, "min_degree": 8}
+        model = minors.build(generate("random_min_degree", params, seed=seed), name)
+        code = cli.main(["clique-minor", "--family", "random_min_degree",
+                         "--params", "n=200,min_degree=8", "--seed", str(seed),
+                         "--target", name, "--format", "json"])
+        out = capsys.readouterr().out
+        if model is None:
+            assert (code, out) == (2, f"no cyclic {name} minor found\n")
+        else:
+            assert code == 0
+            assert out == artifacts.text(artifacts.dump_cyclic_minor(model, "constructive")) + "\n"
+
+    def test_name_is_checked_before_the_pipeline(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(minors, "find_dense_cycle", lambda *args: calls.append(args))
+        with pytest.raises(ValidationError, match="unknown target 'K9'"):
+            minors.build(petersen(), "K9")
+        assert calls == []
+
+    def test_explicit_k_is_not_clamped(self):
+        with pytest.raises(PreconditionError) as info:
+            minors.build(icosahedron(), "K5", k=8)
+        assert str(info.value) == "need minimum degree >= k = 8"
+
+    def test_builder_precondition_propagates(self):
+        with pytest.raises(PreconditionError) as info:
+            minors.build(petersen(), "K5")
+        assert str(info.value) == "need |E| >= 3|V|, have 9 < 18"
 
 
 class TestK6FromBipartite:
