@@ -5,9 +5,11 @@ the graph it talks about as {"n", "edges"} and writes rationals exactly, as
 strings like "16/3".  `dump_<name>(*values)` writes one, and `text` gives
 its bytes: sorted keys, no spaces, so equal artifacts are equal bytes.
 `load(obj)` returns `(name, values)`, type-checking every field the dump
-writes and raising ValidationError otherwise, so the dump of what `load`
-returns gives back every emitted obj.  Whether what an artifact states is
-true is for the library's checks, not for `load`.
+writes and raising ValidationError otherwise, so the text of
+`dump_<name>(*values)` gives back the emitted bytes.  A dump holds the
+tuples the library keeps, which JSON writes as arrays, so it equals the
+parsed obj as text, not as a Python object.  Whether what an artifact
+states is true is for the library's checks, not for `load`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ CLOSURE_SCHEMA = "2"
 
 
 def text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # a dump is fresh dicts and lists around the library's tuples of ints,
+    # so it holds no reference cycle to look for
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def read(path: str):
@@ -63,8 +67,8 @@ def load(obj) -> tuple:
     """`(name, values)` for the certifiable artifact a parsed JSON object
     states: `graph`, `dense_cycle`, `contraction`, `cyclic_minor`, or one of
     the two `active_paths` forms, `census` (full) and `closure`.  The dump
-    of each is `dump_<name>`, and `dump_<name>(*values)` gives back obj when
-    it was emitted."""
+    of each is `dump_<name>`, and the text of `dump_<name>(*values)` gives
+    back obj's bytes when it was emitted."""
     name = obj.get("kind")
     if name == "active_paths":
         full = obj.get("full")
@@ -84,14 +88,21 @@ def _ints(obj, what: str, length: int | None = None) -> tuple:
     if not isinstance(obj, list) or (length is not None and len(obj) != length):
         size = "a list" if length is None else f"a list of {length}"
         raise ValidationError(f"{what} must be {size} integers")
-    for x in obj:
-        if type(x) is not int:
-            raise ValidationError(f"{what} holds a non-integer {x!r}")
+    if not set(map(type, obj)) <= {int}:
+        _non_integer(obj, what)
     return tuple(obj)
 
 
+def _non_integer(values, what: str):
+    """Raise ValidationError naming the first element of `values` that is
+    not an int (bool is not)."""
+    bad = next(x for x in values if type(x) is not int)
+    raise ValidationError(f"{what} holds a non-integer {bad!r}")
+
+
 def _int(x, what: str, low: int | None = None) -> int:
-    (x,) = _ints([x], what)
+    if type(x) is not int:
+        _non_integer([x], what)
     if low is not None and x < low:
         raise ValidationError(f"{what} must be at least {low}, got {x}")
     return x
@@ -101,7 +112,8 @@ def _pairs(obj, what: str) -> list:
     """A JSON list of [u, v] integer pairs, or ValidationError."""
     if not isinstance(obj, list) or set(map(type, obj)) - {list} or set(map(len, obj)) - {2}:
         raise ValidationError(f"{what} must be a list of [u, v] pairs")
-    _ints(list(chain.from_iterable(obj)), what)
+    if not set(map(type, chain.from_iterable(obj))) <= {int}:
+        _non_integer(chain.from_iterable(obj), what)
     return obj
 
 
@@ -135,7 +147,7 @@ def _schema(obj, *accepted) -> str:
 
 
 def _graph_json(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
+    return {"n": g.n, "edges": g.edges()}
 
 
 def _graph(obj) -> Graph:
@@ -149,12 +161,12 @@ def _closure_json(closure: ActiveClosure) -> dict:
     for v, wp in sorted(closure.witnesses.items()):
         witnesses[str(v)] = {
             "seed": wp.orientation,
-            "derivation": [[[c[0], c[1]], w] for c, w in wp.derivation],
+            "derivation": wp.derivation,
         }
     return {
-        "cycle": list(closure.cycle),
+        "cycle": closure.cycle,
         "active": sorted(closure.active),
-        "passive_edges": [[u, v] for u, v in sorted(closure.passive_edges)],
+        "passive_edges": sorted(closure.passive_edges),
         "witnesses": witnesses,
     }
 
@@ -162,8 +174,17 @@ def _closure_json(closure: ActiveClosure) -> dict:
 def _derivation(obj, what: str) -> tuple:
     if not isinstance(obj, list):
         raise ValidationError(f"{what} derivation must be a list")
+    # derivations are a few steps long, too short for set-level type checks
     steps = []
     for step in obj:
+        if type(step) is list and len(step) == 2:
+            chord, w = step
+            if type(chord) is list and len(chord) == 2 and type(w) is int:
+                u, v = chord
+                if type(u) is int and type(v) is int:
+                    steps.append(((u, v), w))
+                    continue
+        # name the first bad step as the step-by-step reading meets it
         if not isinstance(step, list) or len(step) != 2:
             raise ValidationError(f"{what} derivation steps must be [[u, v], w]")
         chord = _ints(step[0], f"{what} derivation chord", 2)
@@ -208,13 +229,16 @@ def _closure(obj, schema: str) -> ActiveClosure:
     )
 
 
-def _stage_json(stage: StageClaim) -> dict:
+def _stage_json(stage: StageClaim, graphs: dict) -> dict:
+    # X2 is X0 or X1 relabelled and holds the same graph, listed once
+    if id(stage.graph) not in graphs:
+        graphs[id(stage.graph)] = _graph_json(stage.graph)
     return {
         "label": stage.label,
-        "graph": _graph_json(stage.graph),
-        "cycle": list(stage.cycle),
+        "graph": graphs[id(stage.graph)],
+        "cycle": stage.cycle,
         "active_classes": sorted(stage.active_classes),
-        "contracted_edges": [[u, v] for u, v in sorted(stage.contracted_edges)],
+        "contracted_edges": sorted(stage.contracted_edges),
         "min_degree": stage.min_degree,
         "avg_degree": format_rational(stage.avg_degree),
     }
@@ -255,9 +279,9 @@ def dump_dense_cycle(g: Graph, cert: DenseCycleCertificate) -> dict:
         "kind": "dense_cycle",
         "k": cert.k,
         "graph": _graph_json(g),
-        "cycle": list(cert.cycle),
+        "cycle": cert.cycle,
         "high_degree": sorted(cert.high_degree),
-        "chords": [[u, v] for u, v in cert.chords],
+        "chords": cert.chords,
         "iterations": cert.iterations,
         "closure": _closure_json(cert.closure),
     }
@@ -277,16 +301,17 @@ def _load_dense_cycle(obj) -> tuple:
 
 
 def dump_contraction(g: Graph, k: int, cycle, stages, n_a: int, n_b: int, m: int) -> dict:
+    graphs = {}
     return {
         "schema": SCHEMA,
         "kind": "contraction",
         "k": k,
         "graph": _graph_json(g),
-        "certificate_cycle": list(cycle),
+        "certificate_cycle": cycle,
         "n_a": n_a,
         "n_b": n_b,
         "m": m,
-        "stages": [_stage_json(stage) for stage in stages],
+        "stages": [_stage_json(stage, graphs) for stage in stages],
     }
 
 
@@ -313,11 +338,11 @@ def dump_cyclic_minor(model: CyclicMinorModel, origin: str) -> dict:
         "kind": "cyclic_minor",
         "origin": origin,
         "graph": _graph_json(model.host),
-        "host_cycle": list(model.host_cycle),
-        "arcs": [list(arc) for arc in model.arcs],
+        "host_cycle": model.host_cycle,
+        "arcs": model.arcs,
         "target": model.target_name,
         "target_graph": _graph_json(model.target),
-        "target_cycle": list(model.target_cycle),
+        "target_cycle": model.target_cycle,
         "verified": True,
     }
 
@@ -352,10 +377,10 @@ def dump_census(g: Graph, cycle, paths: int, active: int, non_active) -> dict:
         "kind": "active_paths",
         "full": True,
         "graph": _graph_json(g),
-        "cycle": list(cycle),
+        "cycle": cycle,
         "paths": paths,
         "active": active,
-        "non_active": [list(p) for p in non_active],
+        "non_active": non_active,
     }
 
 
@@ -402,7 +427,7 @@ def dump_analysis(g: Graph, stats, report) -> dict:
         "min_degree": stats.min_degree,
         "avg_degree": format_rational(stats.avg_degree),
         "degeneracy": report.degeneracy,
-        "elimination_order": list(report.elimination_order),
+        "elimination_order": report.elimination_order,
     }
 
 

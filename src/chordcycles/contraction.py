@@ -18,7 +18,6 @@ from .graph import (
     ContractionPlan,
     Graph,
     check_cycle,
-    chords_of_cycle,
     contract_edges,
     cycle_edge_set,
     degree_stats,
@@ -132,11 +131,23 @@ def passive_contraction(g: Graph, cert: DenseCycleCertificate) -> ContractionRep
 
 def _chord_counts(quotient: Graph, qcycle, active_classes) -> tuple[int, int]:
     """(n_a, n_b): the chords of the quotient cycle with both ends active,
-    and with exactly one."""
-    hits = [0, 0, 0]
-    for a, b in chords_of_cycle(quotient, qcycle):
-        hits[(a in active_classes) + (b in active_classes)] += 1
-    return hits[2], hits[1]
+    and with exactly one.
+
+    `qcycle` must be a checked cycle that spans the quotient, so every edge
+    is a cycle edge or a chord, and the t >= 3 cycle edges are distinct.
+    The edges at active classes are counted from neighbourhood sizes, and
+    the cycle edges among them taken off.
+    """
+    inside = outside = 0
+    for a in active_classes:
+        nbrs = quotient.adj[a]
+        shared = len(nbrs & active_classes)
+        inside += shared
+        outside += len(nbrs) - shared
+    ends = [0, 0, 0]
+    for a, b in zip(qcycle, qcycle[1:] + qcycle[:1]):
+        ends[(a in active_classes) + (b in active_classes)] += 1
+    return inside // 2 - ends[2], outside - ends[1]
 
 
 def half_contraction(report0: ContractionReport) -> ContractionReport:

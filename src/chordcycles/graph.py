@@ -21,6 +21,9 @@ class Graph:
 
     Adjacency is stored as a tuple of frozensets, so instances are immutable
     and safe to share.  Loops are rejected; duplicate edges collapse.
+    `Graph(n, edges)` is the validating door for edges from outside the
+    library; quotients and subgraphs built from a graph's own adjacency go
+    through `_graph_of` instead.
     """
 
     __slots__ = ("n", "adj", "edge_count")
@@ -28,20 +31,26 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValidationError(f"vertex count must be non-negative, got {n}")
-        sets = [set() for _ in range(n)]
-        count = 0
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-            if u == v:
-                raise ValidationError(f"loop at vertex {u}")
-            if v not in sets[u]:
-                sets[u].add(v)
-                sets[v].add(u)
-                count += 1
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)  # a fault rescans them
+        lists = [[] for _ in range(n)]
+        try:
+            for u, v in edges:
+                lists[u].append(v)
+                lists[v].append(u)
+        except (IndexError, TypeError):
+            _reject_first_bad_edge(n, edges)
+            raise
+        adj = tuple(map(frozenset, lists))
+        # a negative id indexes from the end and a loop lands in its own set,
+        # so both show in the finished sets
+        if any(map(frozenset.__contains__, adj, range(n))) or (
+            min(map(min, filter(None, adj)), default=0) < 0
+        ):
+            _reject_first_bad_edge(n, edges)
         self.n = n
-        self.adj = tuple(frozenset(s) for s in sets)
-        self.edge_count = count
+        self.adj = adj
+        self.edge_count = sum(map(len, adj)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges in canonical form, sorted."""
@@ -61,6 +70,26 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
+
+
+def _reject_first_bad_edge(n: int, edges) -> None:
+    """Raise ValidationError for the first edge outside 0..n-1 or a loop."""
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValidationError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+        if u == v:
+            raise ValidationError(f"loop at vertex {u}")
+
+
+def _graph_of(neighbourhoods) -> Graph:
+    """The graph whose vertex i has neighbourhood `neighbourhoods[i]`, taken
+    as given: symmetric, loop-free and in range, as a graph's own adjacency
+    mapped through a relabelling is."""
+    g = object.__new__(Graph)
+    g.adj = tuple(map(frozenset, neighbourhoods))
+    g.n = len(g.adj)
+    g.edge_count = sum(map(len, g.adj)) // 2
+    return g
 
 
 def parse_edge_list(text) -> Graph:
@@ -114,7 +143,7 @@ def degree_stats(g: Graph) -> DegreeStats:
     if g.n == 0:
         raise ValidationError("degree stats of the empty graph")
     return DegreeStats(
-        min_degree=min(g.degree(u) for u in range(g.n)),
+        min_degree=min(map(len, g.adj)),
         avg_degree=Fraction(2 * g.edge_count, g.n),
     )
 
@@ -166,13 +195,13 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
 
     Returns (subgraph, old_ids): new vertex i corresponds to old_ids[i].
     """
-    old_ids = sorted(set(vertices))
-    for u in old_ids:
-        if not 0 <= u < g.n:
-            raise ValidationError(f"vertex {u} not in graph")
-    index = {u: i for i, u in enumerate(old_ids)}
-    edges = [(index[u], index[v]) for u in old_ids for v in g.adj[u] if u < v and v in index]
-    return Graph(len(old_ids), edges), old_ids
+    keep = frozenset(vertices)
+    old_ids = sorted(keep)
+    if old_ids and not (0 <= old_ids[0] and old_ids[-1] < g.n):
+        bad = next(u for u in old_ids if not 0 <= u < g.n)
+        raise ValidationError(f"vertex {bad} not in graph")
+    index = dict(zip(old_ids, range(len(old_ids))))
+    return _graph_of([map(index.__getitem__, keep & g.adj[u]) for u in old_ids]), old_ids
 
 
 @dataclass(frozen=True)
@@ -216,13 +245,18 @@ def contract_edges(g: Graph, edges, cycle=None) -> tuple[Graph, ContractionPlan]
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
 
-    roots = sorted({find(u) for u in range(g.n)})
-    index = {r: i for i, r in enumerate(roots)}
-    class_of = tuple(index[find(u)] for u in range(g.n))
-    quotient = Graph(len(roots), {
-        edge(class_of[u], class_of[v])
-        for u in range(g.n) for v in g.adj[u] if u < v and class_of[u] != class_of[v]
-    })
+    leader = [find(u) for u in range(g.n)]
+    roots = sorted(set(leader))
+    index = dict(zip(roots, range(len(roots))))
+    # a list, not a tuple: list.__getitem__ is a fast builtin under map
+    classes = list(map(index.__getitem__, leader))
+    merged = [set() for _ in roots]
+    for c, nbrs in zip(classes, g.adj):
+        merged[c].update(map(classes.__getitem__, nbrs))
+    for c, nbrs in enumerate(merged):
+        nbrs.discard(c)
+    quotient = _graph_of(merged)
+    class_of = tuple(classes)
 
     arcs = None
     if cycle is not None:
@@ -268,22 +302,38 @@ def degeneracy(g: Graph) -> DegeneracyReport:
 
     Ties break toward the smallest vertex id, so the elimination order is
     deterministic.  Reversing it gives a greedy coloring order that needs at
-    most degeneracy+1 colors.
+    most degeneracy+1 colors.  A heap holds one entry per vertex and degree,
+    the int degree * n + id, which orders as (degree, id) does and compares
+    faster; a vertex gets a new entry each time its degree drops.  Degrees
+    only fall, so a vertex's first entry to pop is its current one, and later
+    ones are skipped.  Each peel is then the minimum (degree, id) of the
+    remaining vertices, in O((n + m) log n) overall (smallest-last ordering,
+    Matula and Beck, J. ACM 30(3), 1983).
     """
+    # imported here, because loading heapq's C extension costs about 0.2 MB of
+    # resident memory, which a process that never peels a graph need not pay
+    from heapq import heapify, heappop, heappush
+
     if g.n == 0:
         raise ValidationError("degeneracy of the empty graph")
-    remaining = set(range(g.n))
-    deg = [g.degree(u) for u in range(g.n)]
+    n = g.n
+    deg = list(map(len, g.adj))
+    heap = [d * n + v for v, d in enumerate(deg)]
+    heapify(heap)
+    removed = [False] * n
     order = []
     worst = 0
-    while remaining:
-        u = min(remaining, key=lambda x: (deg[x], x))
-        worst = max(worst, deg[u])
+    while heap:
+        d, u = divmod(heappop(heap), n)
+        if removed[u]:
+            continue
+        worst = max(worst, d)
         order.append(u)
-        remaining.remove(u)
+        removed[u] = True
         for v in g.adj[u]:
-            if v in remaining:
+            if not removed[v]:
                 deg[v] -= 1
+                heappush(heap, deg[v] * n + v)
     return DegeneracyReport(worst, tuple(order))
 
 

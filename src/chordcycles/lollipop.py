@@ -451,6 +451,8 @@ def active_closure(g: Graph, l: Lollipop, k: int):
             if cv is None:
                 continue
             cv = (cv - base) * sign
+            if cycle[cv - 1] in witnesses and cycle[cv + 1 - t] in witnesses:
+                continue  # w below is one of v's cycle neighbours, both active
             p = _position(cv, t, forward, flips)
             if p >= t - 2:
                 continue

@@ -96,6 +96,66 @@ def min_degree_corpus(k, count, n_max=200):
     return out
 
 
+def reference_adjacency(n, edges):
+    """(adj, edge_count) as an edge-by-edge build gives them: the reference
+    `Graph(n, edges)` is checked against.  Raises the same ValidationError
+    for the first edge outside 0..n-1 or loop."""
+    if n < 0:
+        raise ValidationError(f"vertex count must be non-negative, got {n}")
+    sets = [set() for _ in range(n)]
+    count = 0
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValidationError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+        if u == v:
+            raise ValidationError(f"loop at vertex {u}")
+        if v not in sets[u]:
+            sets[u].add(v)
+            sets[v].add(u)
+            count += 1
+    return tuple(frozenset(s) for s in sets), count
+
+
+def reference_induced_subgraph(g, vertices):
+    """`induced_subgraph` from an edge list through `Graph`: the reference
+    the set-level build is checked against."""
+    old_ids = sorted(set(vertices))
+    for u in old_ids:
+        if not 0 <= u < g.n:
+            raise ValidationError(f"vertex {u} not in graph")
+    index = {u: i for i, u in enumerate(old_ids)}
+    edges = [(index[u], index[v]) for u in old_ids for v in g.adj[u] if u < v and v in index]
+    return Graph(len(old_ids), edges), old_ids
+
+
+def reference_quotient(g, class_of):
+    """The quotient of g by `class_of` from its edge set through `Graph`:
+    the reference `contract_edges`'s quotient is checked against."""
+    return Graph(len(set(class_of)), {
+        (min(class_of[u], class_of[v]), max(class_of[u], class_of[v]))
+        for u in range(g.n) for v in g.adj[u] if u < v and class_of[u] != class_of[v]
+    })
+
+
+def reference_degeneracy(g):
+    """(degeneracy, elimination order) by scanning every remaining vertex for
+    the minimum (degree, id): the reference `degeneracy`'s heap is checked
+    against."""
+    remaining = set(range(g.n))
+    deg = [g.degree(u) for u in range(g.n)]
+    order = []
+    worst = 0
+    while remaining:
+        u = min(remaining, key=lambda x: (deg[x], x))
+        worst = max(worst, deg[u])
+        order.append(u)
+        remaining.remove(u)
+        for v in g.adj[u]:
+            if v in remaining:
+                deg[v] -= 1
+    return worst, tuple(order)
+
+
 def replay(seed, derivation) -> tuple:
     """Re-run a derivation from its seed sequence on whole paths: the
     reference that implicit witnesses and the improvement loop are checked

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from chordcycles import artifacts, cli
+from chordcycles import ValidationError, artifacts, cli, find_dense_cycle, generate
 
 EMITTERS = [
     ("graph", ["generate", "--family", "petersen"]),
@@ -73,3 +73,90 @@ def test_cli_leaves_target_names_to_minors():
         if called == "generate" and node.args:
             first = node.args[0]
             assert not (isinstance(first, ast.Constant) and first.value == "complete"), node.lineno
+
+
+def dense_cycle_obj():
+    g = generate("random_min_degree", {"n": 60, "min_degree": 5}, seed=0)
+    return json.loads(artifacts.text(artifacts.dump_dense_cycle(g, find_dense_cycle(g, 5))))
+
+
+def non_integer_at(field, position, bad):
+    """A dense-cycle artifact with `bad` at the start, middle or end of one
+    of its integer lists, and a later decoy where there is room; and the
+    message that names `bad`."""
+    obj = dense_cycle_obj()
+    if field == "graph edges":
+        slots, what = obj["graph"]["edges"], "graph edges"
+    elif field == "cycle":
+        slots, what = obj["cycle"], "cycle"
+    else:
+        key, witness = max(obj["closure"]["witnesses"].items(),
+                           key=lambda item: len(item[1]["derivation"]))
+        slots = [step[0] for step in witness["derivation"]]
+        what = f"witness {key} derivation chord"
+    assert len(slots) >= 3
+    at = {"start": 0, "middle": len(slots) // 2, "end": len(slots) - 1}[position]
+
+    def put(i, value):
+        if isinstance(slots[i], list):
+            slots[i][1] = value
+        else:
+            slots[i] = value
+
+    put(at, bad)
+    if at < len(slots) - 1:
+        put(len(slots) - 1, "decoy")
+    return obj, f"{what} holds a non-integer {bad!r}"
+
+
+NON_INTEGERS = [
+    (field, position, bad)
+    for field in ("graph edges", "cycle", "derivation chord")
+    for position in ("start", "middle", "end")
+    for bad in (True, 2.5, "7")
+]
+
+
+@pytest.mark.parametrize("field, position, bad", NON_INTEGERS,
+                         ids=[f"{f}-{p}-{type(b).__name__}" for f, p, b in NON_INTEGERS])
+def test_loader_names_the_first_non_integer(tmp_path, capsys, field, position, bad):
+    obj, message = non_integer_at(field, position, bad)
+    with pytest.raises(ValidationError) as caught:
+        artifacts.load(obj)
+    assert str(caught.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["certify", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+def test_graph_of_stays_in_the_graph_core():
+    # `_graph_of` trusts the neighbourhoods it is given, so only the graph
+    # core builds with it; everything else goes through Graph(n, edges)
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        if path.name == "graph.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = [getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)]
+        names += [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names]
+        assert "_graph_of" not in names, path.name
+
+
+def test_json_is_written_only_by_artifacts_text():
+    # one place holds the encoder settings (sorted keys, no spaces, no
+    # circular-reference check on fresh dump trees)
+    writers = []
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                writers.append((path.name, "from json import"))
+            if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps") and \
+                    getattr(node.value, "id", None) == "json":
+                inside = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                writers.append((path.name, max(inside, key=lambda f: f.lineno).name
+                                if inside else None))
+    assert writers == [("artifacts.py", "text")]

@@ -19,7 +19,18 @@ from chordcycles import (
 )
 from chordcycles.oracle import brute_degeneracy
 
-from helpers import complete, connected, icosahedron, petersen, prism, random_graph
+from helpers import (
+    complete,
+    connected,
+    icosahedron,
+    petersen,
+    prism,
+    random_graph,
+    reference_adjacency,
+    reference_degeneracy,
+    reference_induced_subgraph,
+    reference_quotient,
+)
 
 
 def graphs(max_n=9):
@@ -50,6 +61,101 @@ class TestGraphBasics:
         a = Graph(3, [(0, 1), (1, 2)])
         b = Graph(3, [(1, 2), (0, 1)])
         assert a == b and hash(a) == hash(b)
+
+
+FAULTS = ("none", "negative", "far_negative", "id_n", "loop", "duplicate")
+CONTAINERS = {
+    "list": list,
+    "tuple": tuple,
+    "set": set,
+    "generator": lambda edges: (e for e in edges),
+}
+
+
+def outcome(build):
+    try:
+        return build()
+    except ValidationError as exc:
+        return "raised", str(exc)
+
+
+class TestGraphCoreParity:
+    """The bulk constructor, `induced_subgraph` and `contract_edges` agree
+    with edge-by-edge references on adjacency, edge count and error text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.lists(st.sampled_from(FAULTS), max_size=3),
+        st.sampled_from(sorted(CONTAINERS)),
+    )
+    def test_constructor_matches_reference(self, seed, faults, container):
+        rng = random.Random(seed)
+        n = rng.randint(0, 9)
+        size = rng.randint(0, 20) if n else 0
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(size)]
+        edges = [(u, v) for u, v in edges if u != v]
+        for fault in faults:
+            u = rng.randrange(n) if n else 0
+            bad = {
+                "none": None,
+                "negative": (u, -1),
+                "far_negative": (-n - 2, u),
+                "id_n": (n, u),
+                "loop": (u, u),
+                "duplicate": (edges[rng.randrange(len(edges))][::-1] if edges else None),
+            }[fault]
+            if bad is not None:
+                edges.insert(rng.randint(0, len(edges)), bad)
+        make = CONTAINERS[container]
+        fixed = make(edges) if container == "set" else None  # one iteration order for both
+
+        def new():
+            g = Graph(n, fixed if fixed is not None else make(edges))
+            return g.adj, g.edge_count
+
+        def old():
+            return reference_adjacency(n, fixed if fixed is not None else make(edges))
+
+        assert outcome(new) == outcome(old)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=12), st.integers(min_value=0, max_value=2**31 - 1))
+    def test_induced_subgraph_matches_reference(self, g, seed):
+        rng = random.Random(seed)
+        vertices = [v for v in range(-2, g.n + 2) if rng.random() < 0.5]
+        if rng.random() < 0.7:
+            vertices = [v for v in vertices if 0 <= v < g.n]
+        vertices = vertices + vertices[: rng.randint(0, len(vertices))]  # repeats
+
+        def new():
+            sub, old_ids = induced_subgraph(g, vertices)
+            return sub.n, sub.adj, sub.edge_count, old_ids
+
+        def old():
+            sub, old_ids = reference_induced_subgraph(g, vertices)
+            return sub.n, sub.adj, sub.edge_count, old_ids
+
+        assert outcome(new) == outcome(old)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=12), st.integers(min_value=0, max_value=2**31 - 1))
+    def test_quotient_matches_reference(self, g, seed):
+        rng = random.Random(seed)
+        picked = [e for e in g.edges() if rng.random() < rng.random()]
+        q, plan = contract_edges(g, picked)
+        ref = reference_quotient(g, plan.class_of)
+        assert (q.n, q.adj, q.edge_count) == (ref.n, ref.adj, ref.edge_count)
+
+    def test_quotient_matches_reference_on_a_large_host(self):
+        g = generate("random_min_degree", {"n": 400, "min_degree": 8}, seed=3)
+        rng = random.Random(3)
+        picked = [e for e in g.edges() if rng.random() < 0.3]
+        q, plan = contract_edges(g, picked)
+        ref = reference_quotient(g, plan.class_of)
+        assert (q.n, q.adj, q.edge_count) == (ref.n, ref.adj, ref.edge_count)
+        sub, old_ids = induced_subgraph(g, range(0, 400, 3))
+        assert (sub, old_ids) == reference_induced_subgraph(g, range(0, 400, 3))
 
 
 class TestParseEdgeList:
@@ -214,6 +320,18 @@ class TestDegeneracy:
         if g.n == 0:
             return
         assert degeneracy(g).degeneracy == brute_degeneracy(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_heap_matches_reference_order(self, seed):
+        g = random_graph(random.Random(seed), n_max=30)
+        report = degeneracy(g)
+        assert (report.degeneracy, report.elimination_order) == reference_degeneracy(g)
+
+    def test_heap_matches_reference_order_on_a_large_host(self):
+        g = generate("random_min_degree", {"n": 600, "min_degree": 8}, seed=5)
+        report = degeneracy(g)
+        assert (report.degeneracy, report.elimination_order) == reference_degeneracy(g)
 
 
 class TestChordBudgetBound:
