@@ -1,4 +1,4 @@
-"""The JSON artifact format: one dump and one load per certifiable kind.
+"""The JSON artifact format: one dump, one load and one check per certifiable kind.
 
 An artifact is an object with a versioned "schema" and a "kind"; it embeds
 the graph it talks about as {"n", "edges"} and writes rationals exactly, as
@@ -8,8 +8,8 @@ its bytes: sorted keys, no spaces, so equal artifacts are equal bytes.
 writes and raising ValidationError otherwise, so the text of
 `dump_<name>(*values)` gives back the emitted bytes.  A dump holds the
 tuples the library keeps, which JSON writes as arrays, so it equals the
-parsed obj as text, not as a Python object.  Whether what an artifact
-states is true is for the library's checks, not for `load`.
+parsed obj as text, not as a Python object.  `certify(obj)` checks what it
+states with the library's check for its kind, which `_KINDS` lists.
 """
 
 from __future__ import annotations
@@ -18,11 +18,13 @@ import json
 from fractions import Fraction
 from itertools import chain
 
-from .contraction import STAGE_LABELS, StageClaim
+from .contraction import STAGE_LABELS, StageClaim, verify_contraction
 from .errors import ValidationError
 from .graph import Graph, format_rational, parse_edge_list
 from .lollipop import SEEDS, ActiveClosure, DenseCycleCertificate, WitnessPath, seed_path
-from .minors import CyclicMinorModel
+from .lollipop import required_active_count, verify_closure_lemmas, verify_dense_cycle
+from .minors import CyclicMinorModel, target, verify_model
+from .oracle import active_path_census
 
 SCHEMA = "1"
 # Artifacts that carry a rotation closure; schema "1" stored every witness's
@@ -65,19 +67,26 @@ def input_graph(data) -> Graph:
 
 def load(obj) -> tuple:
     """`(name, values)` for the certifiable artifact a parsed JSON object
-    states: `graph`, `dense_cycle`, `contraction`, `cyclic_minor`, or one of
-    the two `active_paths` forms, `census` (full) and `closure`.  The dump
-    of each is `dump_<name>`, and the text of `dump_<name>(*values)` gives
+    states, name a key of `_KINDS`: the text of `dump_<name>(*values)` gives
     back obj's bytes when it was emitted."""
-    name = obj.get("kind")
-    if name == "active_paths":
+    kind, full = obj.get("kind"), None
+    if kind == "active_paths":
         full = obj.get("full")
         if type(full) is not bool:
             raise ValidationError(f"full must be true or false, got {full!r}")
-        name = "census" if full else "closure"
-    elif name not in ("graph", "dense_cycle", "contraction", "cyclic_minor"):
-        raise ValidationError(f"cannot certify artifact of kind {name!r}")
-    return name, _LOADS[name](obj)
+    for name, (stored, loader, _) in _KINDS.items():
+        if stored == (kind, full):
+            return name, loader(obj)
+    raise ValidationError(f"cannot certify artifact of kind {kind!r}")
+
+
+def certify(obj, guards=dict) -> tuple[int, str]:
+    """`(exit code, line)` for what artifact obj states, by its kind's check:
+    0 when it holds, 2 for a cyclic model that misses a target edge; any other
+    failed claim raises GraphError.  Only a census calls `guards()`, for the
+    oracle's size guards."""
+    name, values = load(obj)
+    return _KINDS[name][2](guards, *values)
 
 
 # ---------------------------------------------------------------- fields
@@ -300,6 +309,11 @@ def _load_dense_cycle(obj) -> tuple:
     )
 
 
+def _certify_dense_cycle(guards, g, cert):
+    verify_dense_cycle(g, cert)
+    return 0, f"dense cycle certificate ok: k={cert.k} chords={len(cert.chords)}"
+
+
 def dump_contraction(g: Graph, k: int, cycle, stages, n_a: int, n_b: int, m: int) -> dict:
     graphs = {}
     return {
@@ -330,6 +344,11 @@ def _load_contraction(obj) -> tuple:
         tuple(_stage(stage) for stage in stages),
         *(_int(obj.get(key), key) for key in ("n_a", "n_b", "m")),
     )
+
+
+def _certify_contraction(guards, g, k, *claims):
+    verify_contraction(g, k, *claims)
+    return 0, f"contraction certificate ok: k={k}"
 
 
 def dump_cyclic_minor(model: CyclicMinorModel, origin: str) -> dict:
@@ -371,6 +390,16 @@ def _load_cyclic_minor(obj) -> tuple:
     return model, obj["origin"]
 
 
+def _certify_cyclic_minor(guards, model, origin):
+    # the label K'll takes its side length from the target's order
+    name = model.target_name
+    if model.target != target(f"Kll:{model.target.n // 2}" if name == "K'll" else name)[1]:
+        raise ValidationError(f"target graph is not {name!r}")
+    if not verify_model(model):
+        return 2, "model does not verify"
+    return 0, f"cyclic {name} minor ok"
+
+
 def dump_census(g: Graph, cycle, paths: int, active: int, non_active) -> dict:
     return {
         "schema": SCHEMA,
@@ -399,6 +428,13 @@ def _load_census(obj) -> tuple:
     )
 
 
+def _certify_census(guards, g, cycle, *stated):
+    everything, active_paths = active_path_census(g, cycle, **guards())
+    if (len(everything), len(active_paths), tuple(sorted(everything - active_paths))) != stated:
+        raise ValidationError("census does not reproduce")
+    return 0, "active path census ok"
+
+
 def dump_closure(g: Graph, k: int, closure: ActiveClosure) -> dict:
     return {
         "schema": CLOSURE_SCHEMA,
@@ -414,6 +450,14 @@ def _load_closure(obj) -> tuple:
     g = _graph(obj.get("graph"))
     schema = _schema(obj, SCHEMA, CLOSURE_SCHEMA)
     return g, _int(obj.get("k"), "k"), _closure(obj.get("closure"), schema)
+
+
+def _certify_closure(guards, g, k, closure):
+    verify_closure_lemmas(g, closure)
+    have, needed = len(closure.active), required_active_count(g, closure.cycle, k)
+    if have < needed:
+        raise ValidationError(f"closure has {have} active vertices; k = {k} needs {needed}")
+    return 0, "active path census ok"
 
 
 # ---------------------------------------------------------------- reports
@@ -451,11 +495,12 @@ def dump_closure_shortfall(exc) -> dict:
     }
 
 
-_LOADS = {
-    "graph": _load_graph,
-    "dense_cycle": _load_dense_cycle,
-    "contraction": _load_contraction,
-    "cyclic_minor": _load_cyclic_minor,
-    "census": _load_census,
-    "closure": _load_closure,
+# Per certifiable kind: its stored "kind" and "full" flag, its loader, its check.
+_KINDS = {
+    "graph": (("graph", None), _load_graph, lambda guards, g: (0, "graph ok")),
+    "dense_cycle": (("dense_cycle", None), _load_dense_cycle, _certify_dense_cycle),
+    "contraction": (("contraction", None), _load_contraction, _certify_contraction),
+    "cyclic_minor": (("cyclic_minor", None), _load_cyclic_minor, _certify_cyclic_minor),
+    "census": (("active_paths", True), _load_census, _certify_census),
+    "closure": (("active_paths", False), _load_closure, _certify_closure),
 }

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import artifacts, minors, oracle
-from .contraction import pipeline, verify_contraction
+from .contraction import pipeline
 from .errors import ClosureShortfall, GraphError, PreconditionError, ValidationError
 from .graph import (
     Graph,
@@ -24,14 +24,7 @@ from .graph import (
     generate,
     to_dot,
 )
-from .lollipop import (
-    find_dense_cycle,
-    improve_until_closed,
-    initial_lollipop,
-    required_active_count,
-    verify_closure_lemmas,
-    verify_dense_cycle,
-)
+from .lollipop import find_dense_cycle, improve_until_closed, initial_lollipop
 
 
 def _guard_kwargs() -> dict:
@@ -219,47 +212,13 @@ def _cmd_active_paths(args) -> int:
     return 0
 
 
-def _certify_artifact(args, name: str, values: tuple) -> int:
-    """Check what a loaded artifact claims, with the library's own checks."""
-    match name, values:
-        case "graph", _:
-            message = "graph ok"
-        case "dense_cycle", (g, cert):
-            verify_dense_cycle(g, cert)
-            message = f"dense cycle certificate ok: k={cert.k} chords={len(cert.chords)}"
-        case "contraction", (g, k, *claims):
-            verify_contraction(g, k, *claims)
-            message = f"contraction certificate ok: k={k}"
-        case "cyclic_minor", (model, _):
-            if model.target != minors.named_target(model.target_name, model.target.n):
-                raise ValidationError(f"target graph is not {model.target_name!r}")
-            if not minors.verify_model(model):
-                _emit(args, "model does not verify")
-                return 2
-            message = f"cyclic {model.target_name} minor ok"
-        case "census", (g, cycle, *stated):
-            everything, active_paths = oracle.active_path_census(g, cycle, **_guard_kwargs())
-            non_active = tuple(sorted(everything - active_paths))
-            if [len(everything), len(active_paths), non_active] != stated:
-                raise ValidationError("census does not reproduce")
-            message = "active path census ok"
-        case "closure", (g, k, closure):
-            verify_closure_lemmas(g, closure)
-            needed = required_active_count(g, closure.cycle, k)
-            if len(closure.active) < needed:
-                raise ValidationError(
-                    f"closure has {len(closure.active)} active vertices; k = {k} needs {needed}"
-                )
-            message = "active path census ok"
-    _emit(args, message)
-    return 0
-
-
 def _cmd_certify(args) -> int:
     if args.input:
         g = artifacts.read(args.input)
         if not isinstance(g, Graph):
-            return _certify_artifact(args, *artifacts.load(g))
+            code, line = artifacts.certify(g, _guard_kwargs)
+            _emit(args, line)
+            return code
     else:
         g = _load_graph(args)
     if not args.target:

@@ -223,9 +223,8 @@ class ContractionPlan:
 def contract_edges(g: Graph, edges, cycle=None) -> tuple[Graph, ContractionPlan]:
     """Quotient of g by the components of `edges`; loops drop, parallels merge.
 
-    With `cycle` (a spanning or partial cycle as a vertex sequence), each
-    contraction class must be contiguous along it and the plan records the
-    resulting arcs.
+    With `cycle`, which must be a cycle of g (not checked here), each class
+    must be contiguous along it and the plan records the resulting arcs.
     """
     edges = [edge(u, v) for u, v in edges]
     for u, v in edges:
@@ -260,7 +259,7 @@ def contract_edges(g: Graph, edges, cycle=None) -> tuple[Graph, ContractionPlan]
 
     arcs = None
     if cycle is not None:
-        arcs = _cycle_arcs(g, cycle, class_of)
+        arcs = _cycle_arcs(cycle, class_of)
 
     plan = ContractionPlan(
         host=g, contracted_edges=frozenset(edges), class_of=class_of, arcs=arcs
@@ -268,13 +267,12 @@ def contract_edges(g: Graph, edges, cycle=None) -> tuple[Graph, ContractionPlan]
     return quotient, plan
 
 
-def _cycle_arcs(g: Graph, cycle, class_of) -> tuple:
+def _cycle_arcs(cycle, class_of) -> tuple:
     """Split `cycle` into maximal runs of equal class; every class must be one run."""
-    cycle = check_cycle(g, cycle)
     t = len(cycle)
     classes = [class_of[v] for v in cycle]
     if len(set(classes)) == 1:
-        return (cycle,)
+        return (tuple(cycle),)
     # rotate backwards so position 0 starts a run
     start = 0
     while classes[start - 1] == classes[start]:

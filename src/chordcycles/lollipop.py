@@ -446,11 +446,9 @@ def active_closure(g: Graph, l: Lollipop, k: int):
         u = wp.end
         forward = wp.orientation == "forward"
         flips = wp.flips
+        # activate queues only ends whose neighbourhood lies on the cycle
         for v in sorted(g.adj[u]):
-            cv = index.get(v)
-            if cv is None:
-                continue
-            cv = (cv - base) * sign
+            cv = (index[v] - base) * sign
             if cycle[cv - 1] in witnesses and cycle[cv + 1 - t] in witnesses:
                 continue  # w below is one of v's cycle neighbours, both active
             p = _position(cv, t, forward, flips)

@@ -70,14 +70,10 @@ def kll_prime_graph(ell: int) -> tuple[Graph, tuple[int, ...]]:
     return Graph(2 * ell, edges), tuple(range(2 * ell))
 
 
-def target(name: str) -> tuple[str, Graph]:
-    """The artifact label and graph a target name stands for.
-
-    K3..K6 are complete graphs; Kll:<l> is K'll with side l, labelled K'll.
-    Every target's Hamiltonian cycle is 0..n-1.
-    """
+def _target_size(name: str) -> tuple[str, int]:
+    """A target name's label, and the order of K3..K6 or the side of Kll:<l>."""
     if name in ("K3", "K4", "K5", "K6"):
-        return name, generate("complete", {"n": int(name[1])})
+        return name, int(name[1])
     if name.startswith("Kll:"):
         try:
             ell = int(name[4:])
@@ -85,16 +81,20 @@ def target(name: str) -> tuple[str, Graph]:
             ell = 0
         if ell < 1:
             raise ValidationError(f"bad target {name!r}")
-        return "K'll", kll_prime_graph(ell)[0]
+        return "K'll", ell
     raise ValidationError(
         f"unknown target {name!r}: expected K3, K4, K5, K6 or Kll:<l>"
     )
 
 
-def named_target(name: str, n: int) -> Graph:
-    """The graph an artifact's target name stands for; its label K'll takes
-    the side length from the target's order n."""
-    return target(f"Kll:{n // 2}" if name == "K'll" else name)[1]
+def target(name: str) -> tuple[str, Graph]:
+    """The artifact label and graph a target name stands for.
+
+    K3..K6 are complete graphs; Kll:<l> is K'll with side l, labelled K'll.
+    Every target's Hamiltonian cycle is 0..n-1.
+    """
+    label, size = _target_size(name)
+    return label, kll_prime_graph(size)[0] if label == "K'll" else generate("complete", {"n": size})
 
 
 def verify_model(m: CyclicMinorModel) -> bool:
@@ -516,9 +516,10 @@ def build(g: Graph, name: str, k: int | None = None) -> CyclicMinorModel | None:
     stage of a dense cycle: K4 on X1, where min degree 3 suffices, the rest
     on X2, the average degree 6 quotient that k = 8 guarantees.  Without an
     explicit k the pipeline degree is clamped to the host's minimum degree,
-    so dense hosts below degree 8 still get their best shot.
+    so dense hosts below degree 8 still get their best shot.  Only a model
+    found builds its target graph.
     """
-    graph = target(name)[1]
+    size = _target_size(name)[1]
     if name == "K3":
         return k3_model(g)
     if k is None:
@@ -532,4 +533,4 @@ def build(g: Graph, name: str, k: int | None = None) -> CyclicMinorModel | None:
         return k5_model(x2.graph, x2.cycle)
     if name == "K6":
         return k6_from_bipartite(x2.graph, x2.cycle)
-    return kll_prime_model(x2.graph, x2.cycle, graph.n // 2)
+    return kll_prime_model(x2.graph, x2.cycle, size)

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from chordcycles import artifacts, cli, find_dense_cycle, generate, pipeline
+from chordcycles import (
+    Graph, ValidationError, artifacts, cli, contract_edges, edge, find_dense_cycle, generate,
+    induced_subgraph, minors, pipeline,
+)
 from chordcycles.errors import ClosureShortfall, InternalInvariantError
 from chordcycles.lollipop import ActiveClosure, WitnessPath, seed_path
 
@@ -731,3 +734,114 @@ class TestContractionCertificate:
         pattern1, pattern2 = x1s[-2:]
         assert pattern1["contracted_edges"] == [[0, 2]]
         assert pattern2["contracted_edges"] == [] and pattern2["graph"]["n"] == 5
+
+
+# ---------------------------------------------------------------- doors
+# Checks on outside input that nothing else reaches: each gives one
+# `error:` line and exit 1, reached the way a user reaches it.
+
+
+def _cli(*argv):
+    return lambda tmp_path, capsys: run(capsys, *argv)
+
+
+def _certify_tampered(source, tamper):
+    """certify --input on the artifact `source` emits, once tampered."""
+    def door(tmp_path, capsys):
+        path = tmp_path / "a.json"
+        assert cli.main([*source, "--format", "json", "--out", str(path)]) == 0
+        obj = json.loads(path.read_text())
+        tamper(obj)
+        path.write_text(json.dumps(obj))
+        return run(capsys, "certify", "--input", str(path))
+    return door
+
+
+def _called(check, *args):
+    """A library check called directly, its ValidationError as the CLI prints it."""
+    def door(tmp_path, capsys):
+        try:
+            check(*args)
+        except ValidationError as exc:
+            return 1, "", f"error: {exc}\n"
+        return 0, "", ""
+    return door
+
+
+def _two_class_x0(obj):
+    """X0 restated as the true quotient of C by all but two of its edges: a
+    cyclic minor of C whose cycle is two classes."""
+    g = Graph(obj["graph"]["n"], obj["graph"]["edges"])
+    g0, old_ids = induced_subgraph(g, obj["certificate_cycle"])
+    relabel = {u: i for i, u in enumerate(old_ids)}
+    ring = [relabel[u] for u in obj["certificate_cycle"]]
+    t = len(ring)
+    edges = [edge(ring[i], ring[(i + 1) % t]) for i in range(t) if i not in (0, t // 2)]
+    quotient, plan = contract_edges(g0, edges, cycle=ring)
+    obj["stages"][0].update(
+        graph={"n": quotient.n, "edges": [list(e) for e in quotient.edges()]},
+        cycle=[plan.class_of[arc[0]] for arc in plan.arcs],
+        contracted_edges=sorted(map(list, edges)),
+    )
+
+
+PETERSEN_DENSE_CYCLE = ["dense-cycle", "--family", "petersen", "--k", "3"]
+PETERSEN_CONTRACTION = ["contract", "--family", "petersen", "--k", "3"]
+# K4 as two arcs, for the three vertices of K3
+TWO_ARCS_FOR_K3 = minors.CyclicMinorModel(
+    host=generate("complete", {"n": 4}), host_cycle=(0, 1, 2, 3), arcs=((0, 1), (2, 3)),
+    target=generate("complete", {"n": 3}), target_cycle=(0, 1, 2), target_name="K3",
+)
+
+DOORS = {
+    "dense cycle [0, 1]": (
+        _certify_tampered(PETERSEN_DENSE_CYCLE, lambda obj: obj.update(
+            cycle=[0, 1],
+            closure={"cycle": [0, 1], "active": [], "passive_edges": [], "witnesses": {}},
+        )),
+        "a cycle needs at least 3 vertices",
+    ),
+    "stage average 1/0": (
+        _certify_tampered(PETERSEN_CONTRACTION, _set(0, avg_degree="1/0")),
+        "X0 avg_degree must be a rational like '16/3', got '1/0'",
+    ),
+    "X0 of two classes": (
+        _certify_tampered(PETERSEN_CONTRACTION, _two_class_x0),
+        "a cycle needs at least 3 vertices",
+    ),
+    "verify_model arc count": (
+        _called(minors.verify_model, TWO_ARCS_FOR_K3), "arc count differs from target order",
+    ),
+    "experiment foo=1": (
+        _cli("experiment", "--params", "foo=1"), "unknown experiment params: ['foo']",
+    ),
+    "complete without n": (
+        _cli("generate", "--family", "complete"), "family 'complete' needs parameter 'n'",
+    ),
+    "complete n=0": (
+        _cli("generate", "--family", "complete", "--params", "n=0"),
+        "complete graph needs n >= 1",
+    ),
+    "complete_bipartite a=0": (
+        _cli("generate", "--family", "complete_bipartite", "--params", "a=0,b=2"),
+        "complete bipartite graph needs a, b >= 1",
+    ),
+    "cycle n=2": (
+        _cli("generate", "--family", "cycle", "--params", "n=2"), "cycle needs n >= 3",
+    ),
+    "random_min_degree min_degree=n": (
+        _cli("generate", "--family", "random_min_degree", "--params", "n=3,min_degree=3",
+             "--seed", "1"),
+        "random_min_degree needs 0 <= min_degree < n",
+    ),
+    "random_regular d=n": (
+        _cli("generate", "--family", "random_regular", "--params", "n=4,d=4", "--seed", "1"),
+        "random_regular needs 0 <= d < n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DOORS))
+def test_door_gives_one_error_line(tmp_path, capsys, name):
+    door, message = DOORS[name]
+    assert door(tmp_path, capsys) == (1, "", f"error: {message}\n")

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from chordcycles import (
     artifacts,
+    contraction,
+    graph,
     InternalInvariantError,
     StageClaim,
     ValidationError,
@@ -23,7 +25,7 @@ from chordcycles import (
     verify_contraction,
 )
 
-from helpers import complete, cyc, petersen
+from helpers import complete, cyc, min_degree_corpus, petersen
 
 
 def run_pipeline(g, k):
@@ -148,6 +150,29 @@ class TestFallbackPairings:
         ]
         assert r1.graph == r0.graph
         assert not r1.plan.contracted_edges
+
+
+def test_pipeline_checks_the_host_cycle_once(monkeypatch):
+    """The pipeline checks the certificate cycle it is handed, at its door,
+    and trusts the cycles it builds from it: neither contract_edges nor a
+    contraction step checks a quotient cycle again."""
+    checked = []
+    real = graph.check_cycle
+
+    def counting(g, cycle):
+        checked.append(g)
+        return real(g, cycle)
+
+    for module in (graph, contraction):
+        monkeypatch.setattr(module, "check_cycle", counting)
+    hosts = [(g, k) for k in (2, 3, 5, 8) for g, *_ in min_degree_corpus(k, 3)]
+    # X1 from the successor pairing and from the floor-only pairing
+    hosts += [(random_sparse_host(5, 979961074), 3), (random_sparse_host(5, 406059994), 3)]
+    for g, k in hosts:
+        cert = find_dense_cycle(g, k)
+        checked.clear()
+        pipeline(g, cert)
+        assert [h is g for h in checked] == [True]
 
 
 def first_edges_contracted(report0, count):

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import itertools
+import json
 import random
 
 import pytest
@@ -471,7 +472,18 @@ class TestTarget:
         assert model.target_name == label
         assert model.target == graph
         assert model.target_cycle == tuple(range(graph.n))
-        assert minors.named_target(label, graph.n) == graph
+        # certify maps the label back to this graph
+        obj = json.loads(artifacts.text(artifacts.dump_cyclic_minor(model, "constructive")))
+        assert artifacts.certify(obj) == (0, f"cyclic {label} minor ok")
+
+    def test_build_leaves_an_unfound_target_unbuilt(self, monkeypatch):
+        # Petersen's X2 is far too short for K'll with side 1000, and the
+        # million-edge target graph is not built to find that out
+        sides = []
+        real = minors.kll_prime_graph
+        monkeypatch.setattr(minors, "kll_prime_graph", lambda ell: sides.append(ell) or real(ell))
+        assert minors.build(petersen(), "Kll:1000") is None
+        assert 1000 not in sides
 
     def test_names(self):
         assert minors.target("K5") == ("K5", complete(5))
