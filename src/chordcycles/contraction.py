@@ -24,7 +24,7 @@ from .graph import (
     edge,
     induced_subgraph,
 )
-from .lollipop import DenseCycleCertificate
+from .lollipop import DenseCycleCertificate, passive_edges
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,9 @@ def _stage_quotient(g0: Graph, cycle0: tuple, edges) -> tuple[Graph, Contraction
 def passive_contraction(g: Graph, cert: DenseCycleCertificate) -> ContractionReport:
     """Drop everything off the cycle, then contract the passive edges.
 
-    Active vertices are untouched by the contraction and keep their exact
-    cycle degree in the quotient; that is asserted, not hoped for.
+    The passive edges are computed from the certificate's cycle and active
+    set, so each active vertex is a class of its own; that it keeps its
+    exact cycle degree in the quotient is asserted, not hoped for.
     """
     cycle = check_cycle(g, cert.cycle)
     active = set(cert.closure.active)
@@ -89,14 +90,10 @@ def passive_contraction(g: Graph, cert: DenseCycleCertificate) -> ContractionRep
         raise ValidationError("certificate active set strays off its cycle")
 
     g0, cycle0, relabel = _renumbered(g, cycle)
-    passive0 = [
-        (relabel[u], relabel[v]) for u, v in sorted(cert.closure.passive_edges)
-    ]
+    passive0 = [(relabel[u], relabel[v]) for u, v in sorted(passive_edges(cycle, active))]
     quotient, plan, qcycle = _stage_quotient(g0, cycle0, passive0)
 
     active_classes = frozenset(plan.class_of[relabel[u]] for u in active)
-    if len(active_classes) != len(active):
-        raise InternalInvariantError("two active vertices fell into one class")
     for u in active:
         if quotient.degree(plan.class_of[relabel[u]]) != g0.degree(relabel[u]):
             raise InternalInvariantError(

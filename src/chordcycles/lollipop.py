@@ -115,17 +115,18 @@ class WitnessPath:
     is a seed, one of the two orientations of the cycle c_1..c_t (see
     `seed_path`), and each step ((u, v), w) of the derivation pivots the
     path ending at u at chord uv and breaks the cycle edge v--w, so the
-    segment after v flips and w becomes the end.  The closure builds each
-    witness as its parent plus one step, keeping the step's pivot position
-    in `flips`; `_position` and `_cycle_slot` compose those at most depth
-    flips over the cycle index, so they cost O(depth), not O(t), and no
-    witness stores its path.  `sequence` materialises it on first use.
-    `claimed` is a path the witness states as its own, if any; the closure
-    audit checks it against the replay of seed and derivation.
+    segment after v flips and w becomes the end.  Each witness stores its
+    derivation.  The closure builds one as its parent's plus one step, with
+    the steps' pivot positions in `flips`; one built from a stated derivation
+    replays it to them on first use.  `_position` and `_cycle_slot` compose
+    at most depth flips over the cycle index, so they cost O(depth), not
+    O(t), and no witness stores its path.  `sequence` materialises it on
+    first use.  `claimed` is a path the witness states as its own, if any;
+    the closure audit checks it against the replay of seed and derivation.
     """
 
-    __slots__ = ("cycle", "orientation", "parent", "step", "end", "claimed",
-                 "_flips", "_derivation", "_sequence")
+    __slots__ = ("cycle", "orientation", "derivation", "end", "claimed",
+                 "_flips", "_sequence")
 
     def __init__(self, cycle, orientation, derivation=(), claimed=None):
         if orientation not in SEEDS:
@@ -134,30 +135,18 @@ class WitnessPath:
             raise ValidationError("a witness's cycle needs at least 3 vertices")
         self.cycle = cycle if isinstance(cycle, tuple) else tuple(cycle)
         self.orientation = orientation
-        self.parent = self.step = self._sequence = None
-        self._derivation = tuple(derivation)
-        self._flips = None if self._derivation else ()
+        self.derivation = tuple(derivation)
+        self._flips = None if self.derivation else ()
+        self._sequence = None
         self.claimed = None if claimed is None else tuple(claimed)
-        self.end = self._derivation[-1][1] if self._derivation else _seed_end(cycle, orientation)
+        self.end = self.derivation[-1][1] if self.derivation else _seed_end(cycle, orientation)
 
     def _child(self, step, pivot) -> "WitnessPath":
         wp = WitnessPath.__new__(WitnessPath)
-        wp.cycle, wp.orientation = self.cycle, self.orientation
-        wp.parent, wp.step, wp.end = self, step, step[1]
-        wp._derivation = wp._sequence = wp.claimed = None
-        wp._flips = self._flips + (pivot,)
+        wp.cycle, wp.orientation, wp.end = self.cycle, self.orientation, step[1]
+        wp.derivation, wp._flips = self.derivation + (step,), self._flips + (pivot,)
+        wp._sequence = wp.claimed = None
         return wp
-
-    @property
-    def derivation(self) -> tuple:
-        if self._derivation is not None:
-            return self._derivation
-        steps = []
-        node = self
-        while node.parent is not None:
-            steps.append(node.step)
-            node = node.parent
-        return tuple(reversed(steps))
 
     @property
     def flips(self) -> tuple:
@@ -165,7 +154,7 @@ class WitnessPath:
         if self._flips is None:
             flips = []
             index = dict(zip(self.cycle, range(len(self.cycle))))
-            for _ in _replay_steps(self.cycle, index, self.orientation, self._derivation, flips):
+            for _ in _replay_steps(self.cycle, index, self.orientation, self.derivation, flips):
                 pass
             self._flips = tuple(flips)
         return self._flips
@@ -186,7 +175,7 @@ class ActiveClosure:
 
     `witnesses` maps each active vertex to the first WitnessPath found ending
     there; the closure's witnesses share its cycle and hold no paths.
-    `passive_edges` are the cycle edges with no active end.
+    `passive_edges` states passive_edges(cycle, active); the audit checks it.
     """
 
     cycle: tuple
@@ -212,6 +201,15 @@ class DenseCycleCertificate:
     chords: tuple
     closure: ActiveClosure
     iterations: int
+
+
+def passive_edges(cycle, active) -> frozenset:
+    """The edges of `cycle` with no end in `active`: the edges X0 contracts."""
+    return frozenset(
+        edge(cycle[i - 1], cycle[i])
+        for i in range(len(cycle))
+        if cycle[i - 1] not in active and cycle[i] not in active
+    )
 
 
 def validate_lollipop(g: Graph, l: Lollipop):
@@ -386,10 +384,7 @@ class _LiveLollipop:
 def required_active_count(g: Graph, cycle, k: int) -> int:
     """k active vertices are guaranteed; one more when the anchor has fewer
     than k neighbors on the cycle."""
-    anchor = cycle[0]
-    on_cycle = set(cycle)
-    d_c = sum(1 for x in g.adj[anchor] if x in on_cycle)
-    return k if d_c >= k else k + 1
+    return k if len(g.adj[cycle[0]] & set(cycle)) >= k else k + 1
 
 
 def active_closure(g: Graph, l: Lollipop, k: int):
@@ -464,16 +459,11 @@ def active_closure(g: Graph, l: Lollipop, k: int):
             if improvement is not None:
                 return improvement
 
-    passive = frozenset(
-        edge(cycle[i - 1], cycle[i])
-        for i in range(t)
-        if cycle[i - 1] not in witnesses and cycle[i] not in witnesses
-    )
     closure = ActiveClosure(
         cycle=cycle,
         active=frozenset(witnesses),
         witnesses=witnesses,
-        passive_edges=passive,
+        passive_edges=passive_edges(cycle, witnesses),
     )
     needed = required_active_count(g, cycle, k)
     if len(closure.active) < needed:
@@ -541,30 +531,25 @@ def verify_closure_lemmas(g: Graph, closure: ActiveClosure):
         if wp.claimed is not None and wp.claimed != _materialise(cycle, orientation, flips):
             fail(f"witness for {u} does not replay to its own sequence")
 
-    expected_passive = frozenset(
-        edge(cycle[i - 1], cycle[i])
-        for i in range(t)
-        if cycle[i - 1] not in active and cycle[i] not in active
-    )
-    if closure.passive_edges != expected_passive:
+    if closure.passive_edges != passive_edges(cycle, active):
         fail("passive edge set is not the non-active cycle edges")
 
-    runs_of = {}  # vertex -> {run number: whether the vertex ends that run}
+    run_of = {}  # vertex -> (run number, whether the vertex ends that run)
     for r, run in enumerate(_passive_runs(cycle, closure.passive_edges)):
         for x in run:
-            runs_of.setdefault(x, {})[r] = x in (run[0], run[-1])
-    if runs_of:
+            run_of[x] = r, x in (run[0], run[-1])
+    if run_of:
         for u in active:
             touched = {}
             for x in g.adj[u]:
-                if x not in runs_of:
+                if x not in run_of:
                     continue
-                for r, at_end in runs_of[x].items():
-                    if r in touched:
-                        fail(f"active {u} touches a passive run at {touched[r]} and {x}")
-                    if not at_end:
-                        fail(f"active {u} touches the interior of a passive run at {x}")
-                    touched[r] = x
+                r, at_end = run_of[x]
+                if r in touched:
+                    fail(f"active {u} touches a passive run at {touched[r]} and {x}")
+                if not at_end:
+                    fail(f"active {u} touches the interior of a passive run at {x}")
+                touched[r] = x
 
     on_cycle = index.keys()
     for u in active:
@@ -573,18 +558,20 @@ def verify_closure_lemmas(g: Graph, closure: ActiveClosure):
             fail(f"active {u} has neighbors off the cycle: {stray}")
 
 
-def _passive_runs(cycle, passive_edges):
+def _passive_runs(cycle, passive):
     """Maximal chains of consecutive passive edges, as vertex sequences.
 
-    The anchor's two cycle edges are never passive (their far ends are the
-    seeded actives), so runs cannot wrap around the sequence start.
+    Consecutive runs are parted by cycle edges with an active end, so no
+    vertex lies on two runs, unless a chain through the anchor is split
+    there.  That needs both of the anchor's cycle edges passive, which the
+    audit's seed-end check rules out once the closure has an active vertex.
     """
     t = len(cycle)
     runs = []
     current = None
     for i in range(t):
         a, b = cycle[i], cycle[(i + 1) % t]
-        if edge(a, b) in passive_edges:
+        if edge(a, b) in passive:
             if current is None:
                 current = [a, b]
             else:
@@ -646,7 +633,7 @@ def find_dense_cycle(g: Graph, k: int) -> DenseCycleCertificate:
     closure, iterations = improve_until_closed(g, initial_lollipop(g), k)
     cycle = closure.cycle
     high = set(closure.active)
-    if _cycle_degree(g, cycle[0], set(cycle)) >= k:
+    if len(g.adj[cycle[0]] & set(cycle)) >= k:
         high.add(cycle[0])
     chords = chords_of_cycle(g, cycle)
     cert = DenseCycleCertificate(
@@ -659,10 +646,6 @@ def find_dense_cycle(g: Graph, k: int) -> DenseCycleCertificate:
     )
     _check_dense_cycle(g, cert, chords)
     return cert
-
-
-def _cycle_degree(g: Graph, u, on_cycle) -> int:
-    return len(g.adj[u] & on_cycle)
 
 
 def verify_dense_cycle(g: Graph, cert: DenseCycleCertificate) -> None:
@@ -693,7 +676,7 @@ def _check_dense_cycle(g: Graph, cert: DenseCycleCertificate, chords) -> None:
             raise ValidationError(f"high-degree vertex {v} outside 0..{g.n - 1}")
         if v not in on_cycle:
             raise ValidationError(f"high-degree vertex {v} is not on the cycle")
-        d = _cycle_degree(g, v, on_cycle)
+        d = len(g.adj[v] & on_cycle)
         if d < k:
             raise ValidationError(f"vertex {v} has cycle degree {d} < {k}")
     distinct = len(set(high))

@@ -262,40 +262,36 @@ def _first_cuts(seq: tuple, nb: list[int], checks: list[list], alive: int):
     ends when no alignment survives its failed pairs.
     """
     size, nt = len(seq), len(checks)
-    # vm[s][e] and nm[s][e]: the vertices of seq[s:e] and their neighbours
-    vm, nm = [], []
-    for s in range(size):
-        row_v, row_n = [0] * (size + 1), [0] * (size + 1)
-        v = n = 0
-        for e in range(s + 1, size + 1):
-            v |= 1 << seq[e - 1]
-            n |= nb[seq[e - 1]]
-            row_v[e], row_n[e] = v, n
-        vm.append(row_v)
-        nm.append(row_n)
+    # head_nb[c] and tail_nb[c]: the neighbours of seq[:c] and of seq[c:]
+    head_nb, tail_nb = [0] * (size + 1), [0] * (size + 1)
+    for c in range(size):
+        head_nb[c + 1] = head_nb[c] | nb[seq[c]]
+        tail_nb[size - 1 - c] = tail_nb[size - c] | nb[seq[size - 1 - c]]
     cuts = [0] * nt
     arc = [0] * nt  # vertex mask of each closed arc
 
     def place(j: int, alive: int) -> int:
-        # cuts[:j] are placed; cuts[j] closes arc j - 1
-        s = cuts[j - 1]
-        row_v, row_n, pairs = vm[s], nm[s], checks[j - 1]
+        # cuts[:j] are placed; cuts[j] closes arc j - 1, grown one vertex a step
+        s, pairs = cuts[j - 1], checks[j - 1]
+        grown = reach = 0
         for c in range(s + 1, size - nt + j + 1):
+            x = seq[c - 1]
+            grown |= 1 << x
+            reach |= nb[x]
             left = alive
-            reach = row_n[c]
             for i, keep in pairs:
                 if not reach & arc[i]:
                     left &= keep
             if not left:
                 continue
-            arc[j - 1] = row_v[c]
+            arc[j - 1] = grown
             cuts[j] = c
             if j < nt - 1:
                 left = place(j + 1, left)
             else:  # the wrap-around last arc closes too
-                reach = nm[c][size] | nm[0][cuts[0]]
+                wrap = tail_nb[c] | head_nb[cuts[0]]
                 for i, keep in checks[nt - 1]:
-                    if not reach & arc[i]:
+                    if not wrap & arc[i]:
                         left &= keep
             if left:
                 return left

@@ -175,6 +175,24 @@ def test_pipeline_checks_the_host_cycle_once(monkeypatch):
         assert [h is g for h in checked] == [True]
 
 
+def test_x0_ignores_a_stated_passive_edge_at_an_active_vertex():
+    """X0 contracts the passive edges of the certificate's cycle and active
+    set, so a closure stating an extra passive edge at an active vertex gives
+    the X0 of the honest certificate, neither another one nor an error."""
+    g = petersen()
+    cert = find_dense_cycle(g, 3)
+    honest = passive_contraction(g, cert)
+    cycle, closure = cert.cycle, cert.closure
+    at_active = [
+        edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])
+        if a in closure.active or b in closure.active
+    ]
+    assert len(at_active) == 9
+    for e in at_active:
+        forged = replace(closure, passive_edges=closure.passive_edges | {e})
+        assert passive_contraction(g, replace(cert, closure=forged)) == honest
+
+
 def first_edges_contracted(report0, count):
     """X1 stated as the contraction of the first `count` edges of the
     certificate cycle: a cyclic minor of C, whatever its degrees."""

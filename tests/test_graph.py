@@ -237,6 +237,13 @@ class TestFamilies:
         with pytest.raises(ValidationError, match="avg >= 0"):
             generate("random_min_degree", {"n": 10, "min_degree": 3, "avg": -5}, seed=1)
 
+    def test_random_min_degree_joins_components(self):
+        # no floor and no random edges: ten isolated vertices, joined by 9 edges
+        params = {"n": 10, "min_degree": 0, "avg": 0}
+        g = generate("random_min_degree", params, seed=1)
+        assert connected(g) and g.edge_count == 9
+        assert generate("random_min_degree", params, seed=1) == g
+
     def test_random_family_requires_seed(self):
         with pytest.raises(ValidationError):
             generate("random_min_degree", {"n": 10, "min_degree": 2})

@@ -89,6 +89,20 @@ class TestImplicitWitness:
         with pytest.raises(ValidationError):
             wp.sequence
 
+    @pytest.mark.parametrize("host, k", [
+        pytest.param(petersen, 3, id="petersen"),
+        pytest.param(lambda: _seed7_host(), 3, id="seed7"),
+        pytest.param(lambda: generate(
+            "random_min_degree", {"n": 200, "min_degree": 5, "avg": 6}, seed=3), 5, id="n200"),
+    ])
+    def test_stated_derivation_rebuilds_the_closure_witness(self, host, k):
+        # the closure keeps flips as it steps; a loaded witness replays them
+        closure = find_dense_cycle(host(), k).closure
+        assert any(len(wp.derivation) > 1 for wp in closure.witnesses.values())
+        for wp in closure.witnesses.values():
+            rebuilt = WitnessPath(closure.cycle, wp.orientation, wp.derivation)
+            assert (rebuilt.flips, rebuilt.end, rebuilt.sequence) == (wp.flips, wp.end, wp.sequence)
+
 
 class TestLollipopConstruction:
     def test_maximal_path_cannot_extend(self):
@@ -249,6 +263,25 @@ class TestClosureLemmas:
         )
         with pytest.raises(InternalInvariantError, match="inactive end 2"):
             verify_closure_lemmas(complete(5), closure)
+
+    def test_audit_rejects_a_seed_ending_at_an_inactive_vertex(self):
+        # the witness reaches the active 2, but from the forward seed's
+        # end 4, which is not active
+        cycle = (0, 1, 2, 3, 4)
+        witnesses = {2: WitnessPath(cycle, "forward", (((4, 1), 2),))}
+        closure = ActiveClosure(
+            cycle=cycle, active=frozenset(witnesses), witnesses=witnesses,
+            passive_edges=frozenset(),
+        )
+        with pytest.raises(InternalInvariantError, match="seed ending at inactive 4"):
+            verify_closure_lemmas(complete(5), closure)
+
+    def test_audit_rejects_a_stated_passive_edge_at_an_active_vertex(self):
+        closure = find_dense_cycle(petersen(), 3).closure
+        extra = edge(closure.cycle[0], closure.cycle[1])
+        forged = replace(closure, passive_edges=closure.passive_edges | {extra})
+        with pytest.raises(InternalInvariantError, match="passive edge set"):
+            verify_closure_lemmas(petersen(), forged)
 
     def test_audit_rejects_tampered_witness(self):
         cert = find_dense_cycle(petersen(), 3)
