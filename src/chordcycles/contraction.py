@@ -81,13 +81,17 @@ def passive_contraction(g: Graph, cert: DenseCycleCertificate) -> ContractionRep
     """Drop everything off the cycle, then contract the passive edges.
 
     The passive edges are computed from the certificate's cycle and active
-    set, so each active vertex is a class of its own; that it keeps its
-    exact cycle degree in the quotient is asserted, not hoped for.
+    set, so each active vertex is a class of its own.  The closure lemma
+    gives at least k active vertices, each keeping its exact cycle degree in
+    the quotient, with chords enough for the (k-2)m floor; a certificate
+    that does not meet these raises ValidationError.
     """
     cycle = check_cycle(g, cert.cycle)
     active = set(cert.closure.active)
     if not active <= set(cycle):
         raise ValidationError("certificate active set strays off its cycle")
+    if len(active) < cert.k:
+        raise ValidationError(f"certificate has fewer than k = {cert.k} active vertices")
 
     g0, cycle0, relabel = _renumbered(g, cycle)
     passive0 = [(relabel[u], relabel[v]) for u, v in sorted(passive_edges(cycle, active))]
@@ -96,14 +100,12 @@ def passive_contraction(g: Graph, cert: DenseCycleCertificate) -> ContractionRep
     active_classes = frozenset(plan.class_of[relabel[u]] for u in active)
     for u in active:
         if quotient.degree(plan.class_of[relabel[u]]) != g0.degree(relabel[u]):
-            raise InternalInvariantError(
-                f"active vertex {u} lost degree in the passive quotient"
-            )
+            raise ValidationError(f"active vertex {u} lost degree in the passive quotient")
 
     m = len(active_classes)
     n_a, n_b = _chord_counts(quotient, qcycle, active_classes)
     if 2 * n_a + n_b < (cert.k - 2) * m:
-        raise InternalInvariantError(
+        raise ValidationError(
             f"chord count 2*{n_a}+{n_b} below the (k-2)m = {(cert.k - 2) * m} floor"
         )
 
@@ -182,9 +184,8 @@ def half_contraction(report0: ContractionReport) -> ContractionReport:
         before = qcycle[(i - 1) % size]
         after = qcycle[(i + 1) % size]
         if before not in active_classes or after not in active_classes:
-            raise InternalInvariantError(
-                f"non-active class {cls} is not isolated between active classes"
-            )
+            raise InternalInvariantError(f"non-active class {cls} is not isolated "
+                                         "between active classes")
         positions.append(i)
     # classes that cannot stand alone without breaking the degree floor
     forced = [i for i in positions if report0.graph.degree(qcycle[i]) < floor]
@@ -210,13 +211,10 @@ def half_contraction(report0: ContractionReport) -> ContractionReport:
             f"no pairing of non-active classes reaches min degree {floor}"
         )
 
+    # so X1 keeps at least the k vertices passive_contraction's m >= k gives
     if quotient.n != report0.m + skipped:
-        raise InternalInvariantError(
-            f"half contraction left {quotient.n} classes, "
-            f"expected {report0.m} active plus {skipped} unmerged"
-        )
-    if quotient.n < k:
-        raise InternalInvariantError("half contraction fell below k vertices")
+        raise InternalInvariantError(f"half contraction left {quotient.n} classes, "
+                                     f"expected {report0.m} active plus {skipped} unmerged")
 
     # map surviving active classes through the second contraction
     relabeled_active = frozenset(
@@ -260,9 +258,8 @@ def choose_average_plan(
     chosen = report1 if report1.avg_degree > report0.avg_degree else report0
     bound = Fraction(2 * (report0.k + 1), 3)
     if chosen.avg_degree < bound:
-        raise InternalInvariantError(
-            f"best average degree {chosen.avg_degree} below 2(k+1)/3 = {bound}"
-        )
+        raise InternalInvariantError(f"best average degree {chosen.avg_degree} "
+                                     f"below 2(k+1)/3 = {bound}")
     return replace(chosen, label="X2")
 
 

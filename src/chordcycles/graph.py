@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,10 +21,11 @@ class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
     Adjacency is stored as a tuple of frozensets, so instances are immutable
-    and safe to share.  Loops are rejected; duplicate edges collapse.
-    `Graph(n, edges)` is the validating door for edges from outside the
-    library; quotients and subgraphs built from a graph's own adjacency go
-    through `_graph_of` instead.
+    and safe to share.  Duplicate edges collapse.  `Graph(n, edges)` is the
+    validating door for edges from outside the library: an edge that is not
+    a pair of ids in 0..n-1, or is a loop, raises ValidationError.
+    Quotients and subgraphs built from a graph's own adjacency go through
+    `_graph_of` instead.
     """
 
     __slots__ = ("n", "adj", "edge_count")
@@ -38,9 +40,8 @@ class Graph:
             for u, v in edges:
                 lists[u].append(v)
                 lists[v].append(u)
-        except (IndexError, TypeError):
+        except (IndexError, TypeError, ValueError):
             _reject_first_bad_edge(n, edges)
-            raise
         adj = tuple(map(frozenset, lists))
         # a negative id indexes from the end and a loop lands in its own set,
         # so both show in the finished sets
@@ -73,8 +74,13 @@ class Graph:
 
 
 def _reject_first_bad_edge(n: int, edges) -> None:
-    """Raise ValidationError for the first edge outside 0..n-1 or a loop."""
-    for u, v in edges:
+    """Raise ValidationError for the first edge that is not a pair of ints
+    (anything a list index takes) in 0..n-1, or is a loop."""
+    for e in edges:
+        try:
+            u, v = map(operator.index, e)
+        except (TypeError, ValueError):
+            raise ValidationError(f"edge {e!r} is not a pair of vertex ids") from None
         if not (0 <= u < n and 0 <= v < n):
             raise ValidationError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
         if u == v:

@@ -199,14 +199,13 @@ def k4_model(f: Graph, c: tuple[int, ...]) -> CyclicMinorModel:
 
     The four arcs are the two chord ends, the interior of the short side P,
     and the rest of the cycle; minimality of P forces every chord at z out
-    of P, which supplies the fourth clique edge.
+    of P, which supplies the fourth clique edge.  Minimum degree 3 puts a
+    chord at every vertex of the Hamiltonian cycle, so uv exists.
     """
     _check_hamiltonian(f, c)
     if min(f.degree(u) for u in range(f.n)) < 3:
         raise PreconditionError("need minimum degree 3")
     chords = chords_of_cycle(f, c)
-    if not chords:
-        raise PreconditionError("cycle has no chord")
     pos = _cycle_positions(c)
     n = len(c)
 
@@ -438,7 +437,8 @@ def _grid_exact(rows_cols, a, m) -> GridPartition | None:
 
 
 def _grid_sweep(rows_cols, a, m) -> GridPartition | None:
-    """Accumulate rows until a block shows a distinct 1-columns, then cut."""
+    """Accumulate rows until a block shows a distinct 1-columns, then cut; a
+    last cut at m leaves an empty row block, for which `_col_greedy` fails."""
     cuts = [0]
     seen: set[int] = set()
     for r in range(m):
@@ -447,8 +447,6 @@ def _grid_sweep(rows_cols, a, m) -> GridPartition | None:
             cuts.append(r + 1)
             seen = set()
     if len(cuts) < a:
-        return None
-    if cuts[-1] == m:
         return None
     cuts.append(m)
     cols = _col_greedy(rows_cols, cuts, a, m)

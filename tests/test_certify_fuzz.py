@@ -2,8 +2,9 @@
 
 Real artifacts of every certifiable kind are mutated in one place: a field
 is dropped, a value takes another JSON type, an integer (most often a vertex
-id) moves by one, two contraction stages swap, or a model is retargeted: its
-target renamed or its target graph swapped for another target's.  Whatever
+id) moves by one, two contraction stages swap, a contraction stage contracts
+every edge of the certificate cycle, or a model is retargeted: its target
+renamed or its target graph swapped for another target's.  Whatever
 comes of it, `certify` answers with exit 0, or with exit 1 and one `error:`
 line, or, for a model that does not realize its target, with exit 2, and
 never lets an exception escape.  It may accept a contraction, dense-cycle or
@@ -16,7 +17,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chordcycles import artifacts, cli
 
@@ -125,7 +126,7 @@ def mutants(draw, texts):
     obj = json.loads(draw(st.sampled_from(texts)))
     places = list(_places(obj))
     ops = ["drop", "retype", "shift"]
-    ops += {"contraction": ["swap"], "cyclic_minor": ["retarget"]}.get(obj["kind"], [])
+    ops += {"contraction": ["swap", "collapse"], "cyclic_minor": ["retarget"]}.get(obj["kind"], [])
     op = draw(st.sampled_from(ops))
     if op == "drop":
         path = draw(st.sampled_from([p for p, _ in places if isinstance(p[-1], str)]))
@@ -142,11 +143,32 @@ def mutants(draw, texts):
         else:
             others = [x for x in TARGET_GRAPHS if x != obj["target_graph"]]
             obj["target_graph"] = draw(st.sampled_from(others))
-    else:
+    elif op == "swap":
         i, j = draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
         stages = obj["stages"]
         stages[i], stages[j] = stages[j], stages[i]
+    else:
+        # stage edges number the cycle's vertices in sorted order
+        cycle = obj["certificate_cycle"]
+        rank = {v: i for i, v in enumerate(sorted(cycle))}
+        ring = [rank[v] for v in cycle]
+        edges = sorted(sorted(e) for e in zip(ring, ring[1:] + ring[:1]))
+        obj["stages"][draw(st.sampled_from([0, 1, 2]))]["contracted_edges"] = edges
     return obj
+
+
+class Tampered:
+    """Stands in for `st.data()` in an explicit example: its one draw is the
+    artifact `argv` emits, changed by `change`."""
+
+    def __init__(self, argv, change):
+        self.argv, self.change = argv, change
+
+    def draw(self, strategy):
+        _, out, _ = call(self.argv + ["--format", "json"])
+        obj = json.loads(out)
+        self.change(obj)
+        return obj
 
 
 def certify_mutant(tmp_path, obj):
@@ -168,8 +190,16 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def _every_class_active(obj):
+    x0 = obj["stages"][0]
+    x0["active_classes"] = list(range(x0["graph"]["n"]))
+
+
 @settings(max_examples=700, deadline=None)
 @given(data=st.data())
+# X0 of this source contracts an edge, which then touches an active class
+@example(data=Tampered(SOURCES["contraction"][2], _every_class_active))
+@example(data=Tampered(SOURCES["contraction"][0], lambda obj: obj.update(k=1)))
 def test_contraction_mutants(emitted, workdir, data):
     obj = data.draw(mutants(emitted["contraction"]))
     if certify_mutant(workdir, obj) == 0:

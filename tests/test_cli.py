@@ -1,13 +1,21 @@
 import json
+import runpy
+import sys
+from dataclasses import replace
 
 import pytest
 
 from chordcycles import (
-    Graph, ValidationError, artifacts, cli, contract_edges, edge, find_dense_cycle, generate,
-    induced_subgraph, minors, pipeline,
+    Graph, artifacts, cli, contract_edges, degeneracy, edge, find_dense_cycle, generate,
+    induced_subgraph, minors, oracle, pipeline,
 )
-from chordcycles.errors import ClosureShortfall, InternalInvariantError
-from chordcycles.lollipop import ActiveClosure, WitnessPath, seed_path
+from chordcycles.contraction import passive_contraction
+from chordcycles.errors import ClosureShortfall, GraphError, InternalInvariantError
+from chordcycles.graph import check_path
+from chordcycles.lollipop import (
+    ActiveClosure, Lollipop, WitnessPath, lollipop_from_path, seed_path, validate_lollipop,
+    verify_closure_lemmas,
+)
 
 from helpers import contraction_claims_hold, min_degree_corpus
 
@@ -77,7 +85,11 @@ class TestExitCodes:
         code, _, _ = run(capsys, "--help")
         assert code == 0
 
-    def test_shortfall_dumps_closure(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", [
+        ["dense-cycle", "--family", "petersen", "--k", "3"],
+        ["experiment", "--k", "3", "--params", "count=1"],
+    ], ids=lambda argv: argv[0])
+    def test_shortfall_dumps_closure(self, capsys, monkeypatch, argv):
         closure = ActiveClosure(
             cycle=(0, 1, 2),
             active=frozenset({1}),
@@ -89,9 +101,7 @@ class TestExitCodes:
             raise ClosureShortfall("needed 3 active, found 1", closure)
 
         monkeypatch.setattr(cli, "find_dense_cycle", explode)
-        code, out, _ = run(
-            capsys, "dense-cycle", "--family", "petersen", "--k", "3",
-        )
+        code, out, _ = run(capsys, *argv)
         assert code == 3
         obj = json.loads(out)
         assert obj["kind"] == "closure_shortfall"
@@ -124,6 +134,27 @@ class TestExitCodes:
             "--target", "K3", "--oracle",
         )
         assert code == 1
+
+    # Petersen's outer 5-cycle cut for K4, which misses the edge 0--2
+    @pytest.mark.parametrize("command, witness, message", [
+        ("clique-minor", None, "constructive model exists but the oracle found none"),
+        ("certify", oracle.CyclicMinorWitness(
+            subset=(0, 1, 2, 3, 4), cycle=(0, 1, 2, 3, 4), arcs=((0,), (1,), (2,), (3, 4)),
+            target_cycle=(0, 1, 2, 3),
+        ), "oracle witness failed verification"),
+    ])
+    def test_oracle_disagreement_is_an_error(self, capsys, monkeypatch, command, witness, message):
+        monkeypatch.setattr(oracle, "cyclic_minor_exists", lambda g, target, **guards: witness)
+        argv = [command, "--family", "petersen", "--target", "K4", "--oracle"]
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.filterwarnings("ignore:'chordcycles.cli' found in sys.modules")
+    def test_module_runs_as_a_script(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["chordcycles", "analyze", "--family", "petersen"])
+        with pytest.raises(SystemExit) as caught:
+            runpy.run_module("chordcycles.cli", run_name="__main__")
+        assert caught.value.code == 0
+        assert capsys.readouterr() == ("n=10 m=15 min_degree=3 avg_degree=3 degeneracy=3\n", "")
 
 
 class TestDeterminism:
@@ -738,7 +769,8 @@ class TestContractionCertificate:
 
 # ---------------------------------------------------------------- doors
 # Checks on outside input that nothing else reaches: each gives one
-# `error:` line and exit 1, reached the way a user reaches it.
+# `error:` line and exit 1, reached the way a user reaches it, through the
+# command line or a library call.
 
 
 def _cli(*argv):
@@ -757,24 +789,45 @@ def _certify_tampered(source, tamper):
     return door
 
 
+def _cli_on(text, *argv):
+    """The command `argv` with --input a file that holds `text`."""
+    def door(tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        return run(capsys, *argv, "--input", str(path))
+    return door
+
+
 def _called(check, *args):
-    """A library check called directly, its ValidationError as the CLI prints it."""
+    """A library check called directly, its error as the CLI prints it."""
     def door(tmp_path, capsys):
         try:
             check(*args)
-        except ValidationError as exc:
+        except GraphError as exc:
             return 1, "", f"error: {exc}\n"
         return 0, "", ""
     return door
 
 
-def _two_class_x0(obj):
-    """X0 restated as the true quotient of C by all but two of its edges: a
-    cyclic minor of C whose cycle is two classes."""
+def _ring(obj):
+    """G[C] and its cycle C in the ids that contraction stages use."""
     g = Graph(obj["graph"]["n"], obj["graph"]["edges"])
     g0, old_ids = induced_subgraph(g, obj["certificate_cycle"])
     relabel = {u: i for i, u in enumerate(old_ids)}
-    ring = [relabel[u] for u in obj["certificate_cycle"]]
+    return g0, [relabel[u] for u in obj["certificate_cycle"]]
+
+
+def _contract_whole_cycle(obj):
+    """X0 contracts every edge of C, which leaves one class."""
+    _, ring = _ring(obj)
+    edges = [edge(u, v) for u, v in zip(ring, ring[1:] + ring[:1])]
+    obj["stages"][0]["contracted_edges"] = sorted(map(list, edges))
+
+
+def _two_class_x0(obj):
+    """X0 restated as the true quotient of C by all but two of its edges: a
+    cyclic minor of C whose cycle is two classes."""
+    g0, ring = _ring(obj)
     t = len(ring)
     edges = [edge(ring[i], ring[(i + 1) % t]) for i in range(t) if i not in (0, t // 2)]
     quotient, plan = contract_edges(g0, edges, cycle=ring)
@@ -785,6 +838,33 @@ def _two_class_x0(obj):
     )
 
 
+def _one_active_closure(obj):
+    """The closure cut to the one active vertex c_1, with the backward seed
+    as its witness and the passive edges that leaves.  Its one passive run
+    wraps round from c_2 to the anchor, and c_1 sees both of its ends."""
+    c = obj["closure"]["cycle"]
+    ring = list(zip(c, c[1:] + c[:1]))
+    obj["closure"].update(
+        active=[c[1]],
+        witnesses={str(c[1]): {"seed": "backward", "derivation": []}},
+        passive_edges=sorted(sorted(e) for e in ring if c[1] not in e),
+    )
+
+
+def _forged_certificate(cert, k=None, active=None):
+    """cert with another k or active set, which the closure lemma rules out."""
+    closure = cert.closure if active is None else replace(cert.closure, active=frozenset(active))
+    return replace(cert, k=cert.k if k is None else k, closure=closure)
+
+
+def _witness_on_a_rotated_cycle(cert):
+    """cert's closure with one witness restated on the cycle turned by one."""
+    v, wp = min(cert.closure.witnesses.items())
+    witnesses = dict(cert.closure.witnesses)
+    witnesses[v] = WitnessPath(cert.cycle[1:] + cert.cycle[:1], wp.orientation, wp.derivation)
+    return replace(cert.closure, witnesses=witnesses)
+
+
 PETERSEN_DENSE_CYCLE = ["dense-cycle", "--family", "petersen", "--k", "3"]
 PETERSEN_CONTRACTION = ["contract", "--family", "petersen", "--k", "3"]
 # K4 as two arcs, for the three vertices of K3
@@ -792,6 +872,10 @@ TWO_ARCS_FOR_K3 = minors.CyclicMinorModel(
     host=generate("complete", {"n": 4}), host_cycle=(0, 1, 2, 3), arcs=((0, 1), (2, 3)),
     target=generate("complete", {"n": 3}), target_cycle=(0, 1, 2), target_name="K3",
 )
+PETERSEN = generate("petersen")
+PETERSEN_CERTIFICATE = find_dense_cycle(PETERSEN, 3)  # active 2, 3, 6, 7, 8, 9
+K6 = generate("complete", {"n": 6})
+K6_CERTIFICATE = find_dense_cycle(K6, 5)  # cycle 0..5, active 1..5
 
 DOORS = {
     "dense cycle [0, 1]": (
@@ -837,6 +921,93 @@ DOORS = {
     "random_regular d=n": (
         _cli("generate", "--family", "random_regular", "--params", "n=4,d=4", "--seed", "1"),
         "random_regular needs 0 <= d < n",
+    ),
+    "random_regular pairing fails": (
+        _cli("generate", "--family", "random_regular", "--params", "n=8,d=7", "--seed", "0"),
+        "pairing model failed to produce a simple graph; try another seed",
+    ),
+    # certify's own checks, each on an artifact forged to fail it alone
+    "X0 active class 999": (
+        _certify_tampered(PETERSEN_CONTRACTION,
+                          lambda obj: obj["stages"][0]["active_classes"].append(999)),
+        "X0 active classes must be classes of X0",
+    ),
+    "X0 contracts the whole cycle": (
+        _certify_tampered(PETERSEN_CONTRACTION, _contract_whole_cycle),
+        "X0 graph is not the quotient by its contracted edges",
+    ),
+    "closure active at both ends of a wrapping run": (
+        _certify_tampered(["active-paths", "--family", "complete", "--params", "n=6"],
+                          _one_active_closure),
+        "active 1 touches a passive run at 0 and 2",
+    ),
+    "witness on a rotated cycle": (
+        _called(verify_closure_lemmas, PETERSEN,
+                _witness_on_a_rotated_cycle(PETERSEN_CERTIFICATE)),
+        "witness for 2 starts from a non-seed path",
+    ),
+    # forged certificates at the X0 door
+    "certificate active vertex 99": (
+        _called(passive_contraction, K6,
+                _forged_certificate(K6_CERTIFICATE, active={1, 2, 3, 4, 5, 99})),
+        "certificate active set strays off its cycle",
+    ),
+    "certificate with one active vertex": (
+        _called(passive_contraction, K6, _forged_certificate(K6_CERTIFICATE, active={1})),
+        "certificate has fewer than k = 5 active vertices",
+    ),
+    "certificate active 1, 3 at k=2": (
+        _called(passive_contraction, K6, _forged_certificate(K6_CERTIFICATE, k=2, active={1, 3})),
+        "active vertex 1 lost degree in the passive quotient",
+    ),
+    "certificate k=4 on Petersen": (
+        _called(passive_contraction, PETERSEN, _forged_certificate(PETERSEN_CERTIFICATE, k=4)),
+        "chord count 2*3+0 below the (k-2)m = 12 floor",
+    ),
+    # library doors
+    "degree stats of no vertices": (
+        _cli_on("", "analyze"), "degree stats of the empty graph",
+    ),
+    "degeneracy of no vertices": (
+        _called(degeneracy, Graph(0)), "degeneracy of the empty graph",
+    ),
+    "path from vertex 99": (
+        _called(check_path, PETERSEN, (99, 0)), "vertex 99 not in graph",
+    ),
+    "active-paths on no vertices": (_cli_on("", "active-paths"), "empty graph"),
+    "active-paths on a pendant vertex": (
+        _cli_on("0 1\n1 2\n2 0\n2 3\n", "active-paths"),
+        "initial lollipop needs minimum degree >= 2",
+    ),
+    "seed sideways": (
+        _called(seed_path, (0, 1, 2), "sideways"), "unknown seed orientation 'sideways'",
+    ),
+    "lollipop path off the anchor": (
+        _called(validate_lollipop, PETERSEN, Lollipop(path=(5, 0), cycle=(1, 2, 3, 4, 0))),
+        "path must end at the cycle's anchor vertex",
+    ),
+    "lollipop path through the cycle": (
+        _called(validate_lollipop, PETERSEN, Lollipop(path=(1, 0), cycle=(0, 1, 2, 3, 4))),
+        "path and cycle may share only the anchor",
+    ),
+    "path with no cycle at either end": (
+        _called(lollipop_from_path, Graph(3, [(0, 1), (1, 2)]), (0, 1, 2)),
+        "neither end of the path closes a cycle of length >= 3",
+    ),
+    "K'll side 0": (
+        _called(minors.kll_prime_graph, 0), "bipartite side must have at least one vertex",
+    ),
+    "K4 on a short cycle": (
+        _called(minors.k4_model, K6, (0, 1, 2)), "cycle is not Hamiltonian",
+    ),
+    "Hamiltonian paths from vertex 10": (
+        _called(oracle.hamiltonian_paths_from, PETERSEN, 10), "start vertex 10 not in graph",
+    ),
+    "no rotation levels": (
+        _called(oracle.rotation_levels, K6, (0, 1, 2, 3, 4, 5), 0), "need at least one level",
+    ),
+    "brute degeneracy of no vertices": (
+        _called(oracle.brute_degeneracy, Graph(0)), "degeneracy of the empty graph",
     ),
 }
 

@@ -53,6 +53,12 @@ class TestGraphBasics:
         with pytest.raises(ValidationError):
             Graph(2, [(0, 2)])
 
+    @pytest.mark.parametrize("bad", [(0, 1.5), (None, 1), (0, 1, 2)])
+    def test_edge_that_is_not_a_pair_of_ids_rejected(self, bad):
+        with pytest.raises(ValidationError) as caught:
+            Graph(3, [(0, 1), bad, (1, 2)])
+        assert str(caught.value) == f"edge {bad!r} is not a pair of vertex ids"
+
     def test_edge_canonical(self):
         assert edge(5, 2) == (2, 5)
         assert edge(2, 5) == (2, 5)

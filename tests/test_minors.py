@@ -11,6 +11,7 @@ from chordcycles import (
     CyclicMinorModel,
     find_dense_cycle,
     Graph,
+    GridOutcome,
     PreconditionError,
     ValidationError,
     generate,
@@ -337,6 +338,12 @@ class TestGridPartition:
     def test_zeros(self):
         out = grid_block_partition([[0] * 3 for _ in range(3)], 2)
         assert out.partition is None and out.exact
+
+    def test_sweep_that_cuts_too_few_blocks_is_inexact_none(self):
+        # past 60 rows the sweep runs; the identity shows 61 columns only
+        # once all 61 rows are in, so it cuts one block, not 61
+        identity = [[int(i == j) for j in range(61)] for i in range(61)]
+        assert grid_block_partition(identity, 61) == GridOutcome(None, exact=False)
 
     def test_one_block(self):
         out = grid_block_partition([[0, 1], [0, 0]], 1)

@@ -156,6 +156,10 @@ class TestCyclicMinor:
     def test_c4_lacks_k4(self):
         assert cyclic_minor_exists(cyc(4), complete(4)) is None
 
+    def test_target_without_a_spanning_cycle_has_no_model(self):
+        path = Graph(3, [(0, 1), (1, 2)])
+        assert cyclic_minor_exists(complete(5), path) is None
+
     def test_prism_k3(self):
         w = cyclic_minor_exists(prism(), complete(3))
         assert w is not None and len(w.arcs) == 3
