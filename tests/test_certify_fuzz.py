@@ -17,7 +17,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chordcycles import artifacts, cli
 
@@ -157,20 +157,6 @@ def mutants(draw, texts):
     return obj
 
 
-class Tampered:
-    """Stands in for `st.data()` in an explicit example: its one draw is the
-    artifact `argv` emits, changed by `change`."""
-
-    def __init__(self, argv, change):
-        self.argv, self.change = argv, change
-
-    def draw(self, strategy):
-        _, out, _ = call(self.argv + ["--format", "json"])
-        obj = json.loads(out)
-        self.change(obj)
-        return obj
-
-
 def certify_mutant(tmp_path, obj):
     path = tmp_path / "mutant.json"
     path.write_text(json.dumps(obj))
@@ -190,16 +176,8 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def _every_class_active(obj):
-    x0 = obj["stages"][0]
-    x0["active_classes"] = list(range(x0["graph"]["n"]))
-
-
 @settings(max_examples=700, deadline=None)
 @given(data=st.data())
-# X0 of this source contracts an edge, which then touches an active class
-@example(data=Tampered(SOURCES["contraction"][2], _every_class_active))
-@example(data=Tampered(SOURCES["contraction"][0], lambda obj: obj.update(k=1)))
 def test_contraction_mutants(emitted, workdir, data):
     obj = data.draw(mutants(emitted["contraction"]))
     if certify_mutant(workdir, obj) == 0:

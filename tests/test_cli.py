@@ -10,7 +10,9 @@ from chordcycles import (
     induced_subgraph, minors, oracle, pipeline,
 )
 from chordcycles.contraction import passive_contraction
-from chordcycles.errors import ClosureShortfall, GraphError, InternalInvariantError
+from chordcycles.errors import (
+    ClosureShortfall, InternalInvariantError, PreconditionError, ValidationError,
+)
 from chordcycles.graph import check_path
 from chordcycles.lollipop import (
     ActiveClosure, Lollipop, WitnessPath, lollipop_from_path, seed_path, validate_lollipop,
@@ -798,12 +800,12 @@ def _cli_on(text, *argv):
     return door
 
 
-def _called(check, *args):
-    """A library check called directly, its error as the CLI prints it."""
+def _called(check, *args, error=ValidationError):
+    """A library check called directly, its `error` as the CLI prints it."""
     def door(tmp_path, capsys):
         try:
             check(*args)
-        except GraphError as exc:
+        except error as exc:
             return 1, "", f"error: {exc}\n"
         return 0, "", ""
     return door
@@ -822,6 +824,11 @@ def _contract_whole_cycle(obj):
     _, ring = _ring(obj)
     edges = [edge(u, v) for u, v in zip(ring, ring[1:] + ring[:1])]
     obj["stages"][0]["contracted_edges"] = sorted(map(list, edges))
+
+
+def _every_x0_class_active(obj):
+    x0 = obj["stages"][0]
+    x0["active_classes"] = list(range(x0["graph"]["n"]))
 
 
 def _two_class_x0(obj):
@@ -867,6 +874,9 @@ def _witness_on_a_rotated_cycle(cert):
 
 PETERSEN_DENSE_CYCLE = ["dense-cycle", "--family", "petersen", "--k", "3"]
 PETERSEN_CONTRACTION = ["contract", "--family", "petersen", "--k", "3"]
+# X0 contracts an edge here
+RANDOM_CONTRACTION = ["contract", "--family", "random_min_degree",
+                      "--params", "n=14,min_degree=3,avg=3", "--seed", "2", "--k", "3"]
 # K4 as two arcs, for the three vertices of K3
 TWO_ARCS_FOR_K3 = minors.CyclicMinorModel(
     host=generate("complete", {"n": 4}), host_cycle=(0, 1, 2, 3), arcs=((0, 1), (2, 3)),
@@ -932,6 +942,14 @@ DOORS = {
                           lambda obj: obj["stages"][0]["active_classes"].append(999)),
         "X0 active classes must be classes of X0",
     ),
+    "X0 contraction touches an active class": (
+        _certify_tampered(RANDOM_CONTRACTION, _every_x0_class_active),
+        "X0 contracts (5, 11), which touches an active class",
+    ),
+    "certificate k=1": (
+        _certify_tampered(PETERSEN_CONTRACTION, lambda obj: obj.update(k=1)),
+        "k must be an integer >= 2, got 1",
+    ),
     "X0 contracts the whole cycle": (
         _certify_tampered(PETERSEN_CONTRACTION, _contract_whole_cycle),
         "X0 graph is not the quotient by its contracted edges",
@@ -943,7 +961,7 @@ DOORS = {
     ),
     "witness on a rotated cycle": (
         _called(verify_closure_lemmas, PETERSEN,
-                _witness_on_a_rotated_cycle(PETERSEN_CERTIFICATE)),
+                _witness_on_a_rotated_cycle(PETERSEN_CERTIFICATE), error=InternalInvariantError),
         "witness for 2 starts from a non-seed path",
     ),
     # forged certificates at the X0 door
@@ -991,7 +1009,8 @@ DOORS = {
         "path and cycle may share only the anchor",
     ),
     "path with no cycle at either end": (
-        _called(lollipop_from_path, Graph(3, [(0, 1), (1, 2)]), (0, 1, 2)),
+        _called(lollipop_from_path, Graph(3, [(0, 1), (1, 2)]), (0, 1, 2),
+                error=PreconditionError),
         "neither end of the path closes a cycle of length >= 3",
     ),
     "K'll side 0": (
